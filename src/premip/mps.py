@@ -127,8 +127,9 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                         raise MpsError(
                             f"duplicate entry for column {cname!r} in row "
                             f"{rname!r}", lineno)
-                    if val != 0:
-                        col_entries[j][i] = val
+                    # zeros are stored too, so a later entry for the same
+                    # pair is still caught as a duplicate
+                    col_entries[j][i] = val
             elif section == "RHS":
                 if len(tokens) not in (3, 5):
                     raise MpsError("RHS line needs set/row/value pairs", lineno)
@@ -213,6 +214,13 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                     and problem.col_upper[j] == INF:
                 problem.col_upper[j] = ctx.number(1)
 
+    # transpose once; columns in increasing j give each row its key order
+    # (add_row drops the zeros)
+    row_entries: List[Dict[int, Number]] = [{} for _ in row_order]
+    for j, vals in col_entries.items():
+        for i, val in vals.items():
+            row_entries[i][j] = val
+
     # materialize rows in declaration order
     for name in row_order:
         i_decl = row_index[name]
@@ -235,9 +243,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                     rhs_v = lhs_v + r
                 else:
                     lhs_v = rhs_v + r
-        entries = {j: vals[i_decl] for j, vals in col_entries.items()
-                   if i_decl in vals}
-        problem.add_row(entries, lhs_v, rhs_v, name=name)
+        problem.add_row(row_entries[i_decl], lhs_v, rhs_v, name=name)
     return problem
 
 

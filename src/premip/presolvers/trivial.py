@@ -2,7 +2,10 @@
 
 Runs at the start of presolving and after every round.  Unlike the regular
 presolvers its transactions are applied immediately by the driver, so it can
-iterate to a fixpoint without conflicts.
+iterate to a fixpoint without conflicts.  The fixpoint is journal-driven:
+the first call scans every active row and column, and each later call scans
+only those changed since the previous call, plus the rows and columns of
+its transactions that were not applied.
 """
 from __future__ import annotations
 
@@ -22,8 +25,13 @@ def run_trivial(view: PresolveView) -> List[Transaction]:
     ctx = view.ctx
     act = view.activities
     txs: List[Transaction] = []
+    if view.is_fresh():
+        rows, cols = p.active_rows(), p.active_cols()
+    else:
+        rows = sorted(i for i in view.changed_rows if p.row_active[i])
+        cols = sorted(j for j in view.changed_cols if p.col_is_active(j))
 
-    for i in p.active_rows():
+    for i in rows:
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
         entries = p.row_entries(i)
         if not is_finite(lhs) and not is_finite(rhs):
@@ -50,7 +58,7 @@ def run_trivial(view: PresolveView) -> List[Transaction]:
                 assert_row(i), assert_row_bounds(i),
                 ReductionStep(StepKind.MARK_ROW_REDUNDANT, row=i)]))
 
-    for j in p.active_cols():
+    for j in cols:
         lo, up = p.col_lower[j], p.col_upper[j]
         if lo > up and not ctx.feas_leq(lo, up):
             raise InfeasibleError(

@@ -15,11 +15,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
-from .model import (InfeasibleError, ModelUpdate, Problem, UnboundedError)
+from .model import (ColState, InfeasibleError, ModelUpdate, Problem,
+                    UnboundedError)
 from .options import PresolveOptions
 from .presolvers import (REGISTRY, PresolveView, Tier, run_trivial, runner)
+from .presolvers.trivial import NAME as TRIVIAL
 from .transactions import (ApplyOutcome, PostsolveRecord, Transaction,
                            TxStatus, apply_all)
 
@@ -102,8 +104,8 @@ class _Window:
 def enough_reductions(window, problem: Problem, abortfac: float) -> bool:
     """Positive sense of the abort test: did the last window of work change
     enough of the problem to justify restarting at the fast tier?"""
-    ncols = len(problem.active_cols())
-    nrows = len(problem.active_rows())
+    ncols = problem.col_state.count(ColState.ACTIVE)
+    nrows = problem.row_active.count(True)
     nnz = problem.nnz
     if 0.1 * window.bound_changes + window.deleted_cols > abortfac * ncols:
         return True
@@ -141,6 +143,10 @@ class _Driver:
                                   record=self.record.entries)
         self.update.txn_counter = 0
         self.watermarks: Dict[str, Optional[int]] = {}
+        # rows and columns of trivial transactions that were not applied;
+        # the journal need not list them, so the next trivial scan adds them
+        self.trivial_retry_rows: Set[int] = set()
+        self.trivial_retry_cols: Set[int] = set()
         self.workers = options.resolved_threads()
 
     # -- helpers ------------------------------------------------------------
@@ -183,15 +189,29 @@ class _Driver:
                 self.stats.tx_canceled += 1
 
     def _trivial_fixpoint(self) -> None:
+        """Apply trivial presolve until it finds nothing more.  After the
+        first full scan each call sees only what changed since its previous
+        view, its own applied changes included."""
         for _ in range(100):
             self.update.flags.clear()
-            view = PresolveView(self.update.problem, self.update.activities,
-                                self.update.locks, None, None, workers=1)
+            view = self._make_view(TRIVIAL)
+            if not view.is_fresh():
+                view.changed_rows |= self.trivial_retry_rows
+                view.changed_cols |= self.trivial_retry_cols
+            self.trivial_retry_rows.clear()
+            self.trivial_retry_cols.clear()
             txs = run_trivial(view)
             if not txs:
                 return
             outcomes = apply_all(self.update, txs, self.log)
             self._tally(txs, outcomes)
+            for tx, o in zip(txs, outcomes):
+                if o.status is not TxStatus.APPLIED:
+                    for step in tx.steps:
+                        if step.row is not None:
+                            self.trivial_retry_rows.add(step.row)
+                        if step.col is not None:
+                            self.trivial_retry_cols.add(step.col)
             if not any(o.status is TxStatus.APPLIED for o in outcomes):
                 return
 

@@ -188,6 +188,16 @@ class TestReaderErrors:
         assert "line 7" in str(err.value)
         assert "duplicate" in str(err.value)
 
+    @pytest.mark.parametrize("first,second", [("0", "5"), ("5", "0")])
+    def test_duplicate_entry_with_a_zero_either_order(self, tmp_path, first,
+                                                      second):
+        text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n"
+                f" X R1 {first}\n X R1 {second}\nRHS\nENDATA\n")
+        with pytest.raises(MpsError) as err:
+            read_mps(write_tmp(tmp_path, text), CTX)
+        assert "line 7" in str(err.value)
+        assert "duplicate" in str(err.value)
+
     def test_unknown_row_reference(self, tmp_path):
         text = "NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X NOPE 1\nRHS\nENDATA\n"
         with pytest.raises(MpsError) as err:
@@ -261,6 +271,36 @@ class TestWriterRoundTrip:
         out2 = str(tmp_path / "big2.mps")
         write_mps(q, out2)
         assert open(out).read() == open(out2).read()
+
+    def test_column_split_over_two_blocks(self, tmp_path):
+        """A column whose lines are not contiguous reads the same as the
+        contiguous file, down to the key order of every row."""
+        p = random_medium_mip(random.Random(11), 200, 160)
+        whole = str(tmp_path / "whole.mps")
+        write_mps(p, whole)
+        lines = open(whole).read().splitlines()
+        start, end = lines.index("COLUMNS") + 1, lines.index("RHS")
+        names = [line.split()[0] for line in lines[start:end]]
+        # move the first line of each column that has more than one to the
+        # end of the section; columns still appear first in the same order
+        kept, moved, seen = [], [], set()
+        for line, name in zip(lines[start:end], names):
+            if name not in seen and names.count(name) > 1:
+                moved.append(line)
+            else:
+                kept.append(line)
+            seen.add(name)
+        assert len(moved) > 100
+        split = str(tmp_path / "split.mps")
+        with open(split, "w") as fh:
+            fh.write("\n".join(lines[:start] + kept + moved + lines[end:])
+                     + "\n")
+        a, b = read_mps(whole, CTX), read_mps(split, CTX)
+        assert a.stable_hash() == b.stable_hash()
+        for i in range(a.nrows):
+            assert a.row_entries(i) == b.row_entries(i)
+            # activity sums are accumulated in key order: increasing j
+            assert list(a.rows[i]) == list(b.rows[i]) == sorted(b.rows[i])
 
     def test_rational_round_trip_exact(self, tmp_path):
         from fractions import Fraction

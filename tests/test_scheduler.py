@@ -2,12 +2,17 @@ import random
 
 import pytest
 
+import premip.scheduler as sched
 from premip import (NumericContext, PresolveOptions, Problem, Verdict,
                     capture_log, presolve, presolve_sequential_immediate)
+from premip.model import InfeasibleError, UnboundedError
 from premip.numerics import INF, NEG_INF
+from premip.presolvers import REGISTRY, PresolveView
 from premip.scheduler import RoundStats, _Window, enough_reductions
+from premip.transactions import ApplyOutcome, TxStatus
 
-from conftest import brute_force, make_problem, random_small_mip
+from conftest import (brute_force, make_problem, random_medium_mip,
+                      random_mixed_mip, random_small_mip, to_rational)
 
 CTX = NumericContext.float64()
 
@@ -254,3 +259,68 @@ class TestInterplayFullRun:
         assert "simplifyineq" in applied
         assert "substitution" in applied
         assert res.stats.tx_discarded == 0
+
+
+class TestIncrementalTrivial:
+    """A journal-driven trivial scan returns exactly what a full scan of the
+    same state returns, including the error it raises."""
+
+    @staticmethod
+    def _outcome(fn, view):
+        try:
+            return repr(fn(view))
+        except (InfeasibleError, UnboundedError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_matches_full_scan(self, monkeypatch, rational):
+        original = sched.run_trivial
+        incremental = []
+
+        def checked(view):
+            if not view.is_fresh():
+                full = PresolveView(view.problem, view.activities, view.locks)
+                assert self._outcome(original, view) == \
+                    self._outcome(original, full)
+                incremental.append(view)
+            return original(view)
+
+        monkeypatch.setattr(sched, "run_trivial", checked)
+        corpus = []
+        for seed in range(30):
+            corpus.append(random_small_mip(random.Random(seed)))
+            corpus.append(random_mixed_mip(random.Random(seed)))
+        for seed in range(4):
+            rng = random.Random(700 + seed)
+            nc = rng.choice([60, 120, 250])
+            corpus.append(random_medium_mip(rng, nc, int(nc * 0.8)))
+        for k, p in enumerate(corpus):
+            if rational:
+                p = to_rational(p)
+            presolve(p, PresolveOptions())
+            if k % 3 == 0:
+                presolve_sequential_immediate(p, PresolveOptions())
+        assert len(incremental) > len(corpus)
+
+    def test_unapplied_transaction_is_rescanned(self, monkeypatch):
+        """A trivial transaction that was not applied is looked at again on
+        the next call, even though the journal does not list its column."""
+        original = sched.apply_all
+        dropped = []
+
+        def drop_first(update, txs, log=None):
+            if not dropped and txs and txs[0].presolver == "trivial":
+                assert len(txs) == 1
+                dropped.append(txs[0])
+                return [ApplyOutcome(TxStatus.DISCARDED)]
+            return original(update, txs, log)
+
+        monkeypatch.setattr(sched, "apply_all", drop_first)
+        # the empty column 2 is the only trivial reduction
+        p = make_problem(CTX, [(0, 1, -1, True), (0, 1, -1, True),
+                               (0, 4, 1, True)],
+                         [({0: 1, 1: 1}, NEG_INF, 1)])
+        res = presolve(p, PresolveOptions(disabled={d.name for d in REGISTRY}))
+        assert len(dropped) == 1
+        assert not res.problem.col_is_active(2)
+        assert res.problem.col_lower[2] == 0
