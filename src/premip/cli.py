@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--verbosity", type=int)
     pre.add_argument("--rational", action="store_true", default=None,
                      help="exact rational arithmetic")
-    pre.add_argument("--seed", type=int)
     pre.add_argument("--disable", action="append", default=[],
                      metavar="PRESOLVER", choices=PRESOLVER_NAMES)
     pre.add_argument("--enable", action="append", default=[],
@@ -89,8 +88,6 @@ def _collect_options(args) -> PresolveOptions:
         flag_params["message.verbosity"] = str(args.verbosity)
     if args.rational:
         flag_params["numerics.mode"] = "rational"
-    if args.seed is not None:
-        flag_params["presolve.randomseed"] = str(args.seed)
     for name in args.disable:
         flag_params[f"presolve.{name}.enabled"] = "false"
     for name in args.enable:

@@ -15,8 +15,6 @@ _PARAM_FIELDS = {
     "presolve.abortfac": ("abortfac", float),
     "presolve.apply_results_immediately_if_run_sequentially":
         ("apply_immediately", bool),
-    "presolve.randomseed": ("random_seed", int),
-    "presolve.internalparallel": ("internal_parallel", bool),
     "presolve.maxrounds": ("max_rounds", int),
     "message.verbosity": ("verbosity", int),
     "numerics.mode": ("numeric_mode", str),
@@ -42,11 +40,9 @@ class PresolveOptions:
     apply_immediately: bool = False
     verbosity: int = 1
     numeric_mode: str = "float64"
-    random_seed: int = 0        # reserved for future randomized strategies
     epsilon: float = 1e-9
     feastol: float = 1e-6
     hugeval: float = 1e8
-    internal_parallel: bool = True
     max_rounds: int = 500
     disabled: Set[str] = field(default_factory=set)
 

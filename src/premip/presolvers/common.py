@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..model import Locks, Problem, RowActivities
 from ..numerics import (INF, NEG_INF, Mode, Number, NumericContext,
@@ -46,7 +46,6 @@ class PresolveView:
     changed_rows: Optional[Set[int]] = None
     changed_cols: Optional[Set[int]] = None
     workers: int = 1
-    parallel_enabled: bool = True
 
     @property
     def ctx(self) -> NumericContext:
@@ -113,27 +112,55 @@ def coeff_gcd(ctx: NumericContext, values: List[Number]) -> Number:
     return float(g)
 
 
-def implied_bound_from_row(view: PresolveView, i: int, j: int, a: Number
-                           ) -> Tuple[Number, Number]:
-    """(lower, upper) bound on column j implied by row i alone."""
-    p = view.problem
-    lo, up = NEG_INF, INF
-    cl, cu = p.col_lower[j], p.col_upper[j]
-    rhs, lhs = p.row_rhs[i], p.row_lhs[i]
+def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
+                   lo: Number, up: Number, lhs: Number, rhs: Number,
+                   integral: bool) -> Tuple[Number, Number]:
+    """(lower, upper) bound on one column implied by one row.
+
+    `state` is the row's (min_sum, max_sum, n_min_inf, n_max_inf): from
+    `RowActivities.snapshot`, probing's scratch overlay or DualInfer's dual
+    rows.  (lo, up) are the bounds of the entry's column that the state was
+    built with, and `a` is its coefficient.
+    The residuals are those of `RowActivities.min_residual`/`max_residual`.
+    Integral columns get their bounds rounded inward; a side that implies
+    nothing gives NEG_INF/INF.
+
+    Some bound arithmetic stays outside this kernel on purpose:
+    - trivial presolve's singleton rows and DoubletonEq compute from sides
+      and bounds directly; the cached sums drift in the last bits once
+      entries are removed, so reading them would change those results;
+    - FixContinuous' `_worst_case_cap` and `_fix_value_feasible` compute
+      other quantities;
+    - probing's overlay update (`shift`) stays inline; routing it through
+      `model._min_contribution` made probing of `probing_chain_instance(600)`
+      1.13x slower (CPU time, best of 8 interleaved runs, 2-core x86 VM).
+    """
+    min_sum, max_sum, n_min_inf, n_max_inf = state
+    positive = a > 0  # compared once: slow for a Fraction
+    lower, upper = NEG_INF, INF
     if is_finite(rhs):
-        res = view.activities.min_residual(i, a, cl, cu)
+        # minimum activity without this entry, whose share is a*lo or a*up
+        low = lo if positive else up
+        if is_finite(low):
+            res = min_sum - a * low if n_min_inf <= 0 else NEG_INF
+        else:
+            res = min_sum if n_min_inf <= 1 else NEG_INF
         if is_finite(res):
             cap = (rhs - res) / a
-            if a > 0:
-                up = cap
+            if positive:
+                upper = ctx.round_down_bound(cap) if integral else cap
             else:
-                lo = cap
+                lower = ctx.round_up_bound(cap) if integral else cap
     if is_finite(lhs):
-        res = view.activities.max_residual(i, a, cl, cu)
+        high = up if positive else lo
+        if is_finite(high):
+            res = max_sum - a * high if n_max_inf <= 0 else INF
+        else:
+            res = max_sum if n_max_inf <= 1 else INF
         if is_finite(res):
             cap = (lhs - res) / a
-            if a > 0:
-                lo = cap
+            if positive:
+                lower = ctx.round_up_bound(cap) if integral else cap
             else:
-                up = cap
-    return lo, up
+                upper = ctx.round_down_bound(cap) if integral else cap
+    return lower, upper

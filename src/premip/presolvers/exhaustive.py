@@ -10,13 +10,33 @@ from ..numerics import (INF, NEG_INF, Number, bound_improves_lower,
 from ..parallel import chunk_evenly, fork_map
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import PresolveView
+from .common import PresolveView, implied_bounds
 
 # work-size gates below which forking is not worth the overhead
 PROBING_PARALLEL_MIN_CANDIDATES = 192
 PROBING_PARALLEL_MIN_NNZ = 2000
 DOMCOL_PARALLEL_MIN_GROUPS = 512
 SPARSIFY_PARALLEL_MIN_EQS = 512
+
+# the view of the presolver whose chunks run; forked workers inherit it
+_VIEW: Optional[PresolveView] = None
+
+
+def _fan_out(view: PresolveView, chunk_fn, items: list,
+             big_enough: bool) -> list:
+    """chunk_fn's results over items, in item order.  Forks view.workers
+    processes over contiguous chunks when big_enough, else runs in-process;
+    chunk_fn reads the view from _VIEW."""
+    global _VIEW
+    _VIEW = view
+    try:
+        if view.workers > 1 and big_enough:
+            chunks = chunk_evenly(items, 4 * view.workers)
+            parts = fork_map(chunk_fn, chunks, view.workers)
+            return [r for part in parts for r in part]
+        return chunk_fn(items)
+    finally:
+        _VIEW = None
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +73,6 @@ def run_implint(view: PresolveView) -> List[Transaction]:
 # ---------------------------------------------------------------------------
 # DomCol
 
-_DOMCOL_VIEW: Optional[PresolveView] = None
-
 
 def _domcol_sense_ok(p, ctx, i, aj, ak) -> bool:
     """aj dominates ak on row i under its sense normalization."""
@@ -71,7 +89,7 @@ def _domcol_sense_ok(p, ctx, i, aj, ak) -> bool:
 
 def _domcol_group(args) -> List[Transaction]:
     support, cols = args
-    view = _DOMCOL_VIEW
+    view = _VIEW
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
@@ -117,7 +135,6 @@ def _domcol_fix(view, support, dom, sub) -> Optional[Transaction]:
 
 def run_domcol(view: PresolveView) -> List[Transaction]:
     """Detect dominated columns among columns with equal support."""
-    global _DOMCOL_VIEW
     p = view.problem
     buckets: Dict[tuple, List[int]] = {}
     for j in p.active_cols():
@@ -129,16 +146,8 @@ def run_domcol(view: PresolveView) -> List[Transaction]:
               if len(cols) >= 2]
     if not groups:
         return []
-    _DOMCOL_VIEW = view
-    try:
-        if (view.workers > 1 and view.parallel_enabled
-                and len(groups) >= DOMCOL_PARALLEL_MIN_GROUPS):
-            chunks = chunk_evenly(groups, 4 * view.workers)
-            results = fork_map(_domcol_chunk, chunks, view.workers)
-            return [tx for part in results for tx in part]
-        return [tx for g in groups for tx in _domcol_group(g)]
-    finally:
-        _DOMCOL_VIEW = None
+    return _fan_out(view, _domcol_chunk, groups,
+                    len(groups) >= DOMCOL_PARALLEL_MIN_GROUPS)
 
 
 def _domcol_chunk(groups) -> List[Transaction]:
@@ -155,6 +164,7 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
     provably signed reduced costs fix columns."""
     p = view.problem
     ctx = view.ctx
+    act = view.activities
     cont = [j for j in p.active_cols()
             if not p.col_integral[j] and p.cols[j]]
     if not cont:
@@ -171,9 +181,10 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
     for j in cont:
         entries = p.col_entries(j)
         il, iu = NEG_INF, INF
+        cl, cu = p.col_lower[j], p.col_upper[j]
         for i, a in entries:
-            from .common import implied_bound_from_row
-            lo_r, up_r = implied_bound_from_row(view, i, j, a)
+            lo_r, up_r = implied_bounds(ctx, act.snapshot(i), a, cl, cu,
+                                        p.row_lhs[i], p.row_rhs[i], False)
             il = max(il, lo_r)
             iu = min(iu, up_r)
         free_below = (not is_finite(p.col_lower[j])) or (
@@ -224,30 +235,19 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
                 return []  # dual system inconsistent: stay conservative
             if rel in ("E", "G") and is_finite(mx) and not ctx.feas_leq(c, mx):
                 return []
+            # the dual row sum a*y is <= c for "L", >= c for "G"
+            lhs = c if rel in ("E", "G") else NEG_INF
+            rhs = c if rel in ("E", "L") else INF
             for i, a in entries:
                 lo, up = ylb[i], yub[i]
-                if rel in ("E", "L"):
-                    if a > 0 and (n_mn == 0 or (n_mn == 1 and not is_finite(lo))):
-                        res = mn - (a * lo if is_finite(lo) else 0)
-                        cand = (c - res) / a
-                        if cand < up:
-                            yub[i] = cand
-                    elif a < 0 and (n_mn == 0 or (n_mn == 1 and not is_finite(up))):
-                        res = mn - (a * up if is_finite(up) else 0)
-                        cand = (c - res) / a
-                        if cand > lo:
-                            ylb[i] = cand
-                if rel in ("E", "G"):
-                    if a > 0 and (n_mx == 0 or (n_mx == 1 and not is_finite(up))):
-                        res = mx - (a * up if is_finite(up) else 0)
-                        cand = (c - res) / a
-                        if cand > lo:
-                            ylb[i] = cand
-                    elif a < 0 and (n_mx == 0 or (n_mx == 1 and not is_finite(lo))):
-                        res = mx - (a * lo if is_finite(lo) else 0)
-                        cand = (c - res) / a
-                        if cand < up:
-                            yub[i] = cand
+                lower, upper = implied_bounds(ctx, (mn, mx, n_mn, n_mx), a,
+                                              lo, up, lhs, rhs, False)
+                # INF/NEG_INF mean no bound; skipping them saves slow
+                # Fraction comparisons
+                if upper is not INF and upper < up:
+                    yub[i] = upper
+                if lower is not NEG_INF and lower > lo:
+                    ylb[i] = lower
                 if ylb[i] > yub[i] and not ctx.feas_leq(ylb[i], yub[i]):
                     return []
 
@@ -285,8 +285,6 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
 
 # ---------------------------------------------------------------------------
 # Probing
-
-_PROBE_VIEW: Optional[PresolveView] = None
 
 
 def _probe_propagate(view: PresolveView, k: int, val: int):
@@ -359,45 +357,10 @@ def _probe_propagate(view: PresolveView, k: int, val: int):
                 lo, up = col_bounds(j)
                 if lo == up:
                     continue
-                new_lo, new_up = lo, up
-                if is_finite(rhs):
-                    if st[2] == 0 or (st[2] == 1 and not is_finite(
-                            lo if a > 0 else -up)):
-                        mval = (a * lo if a > 0 else a * up)
-                        res = st[0] - (mval if is_finite(mval) else 0)
-                        if st[2] == 1 and is_finite(mval):
-                            res = NEG_INF
-                        if is_finite(res):
-                            cap = (rhs - res) / a
-                            if a > 0:
-                                cand = ctx.round_down_bound(cap) \
-                                    if p.col_integral[j] else cap
-                                if cand < new_up:
-                                    new_up = cand
-                            else:
-                                cand = ctx.round_up_bound(cap) \
-                                    if p.col_integral[j] else cap
-                                if cand > new_lo:
-                                    new_lo = cand
-                if is_finite(lhs):
-                    if st[3] == 0 or (st[3] == 1 and not is_finite(
-                            up if a > 0 else -lo)):
-                        xval = (a * up if a > 0 else a * lo)
-                        res = st[1] - (xval if is_finite(xval) else 0)
-                        if st[3] == 1 and is_finite(xval):
-                            res = INF
-                        if is_finite(res):
-                            cap = (lhs - res) / a
-                            if a > 0:
-                                cand = ctx.round_up_bound(cap) \
-                                    if p.col_integral[j] else cap
-                                if cand > new_lo:
-                                    new_lo = cand
-                            else:
-                                cand = ctx.round_down_bound(cap) \
-                                    if p.col_integral[j] else cap
-                                if cand < new_up:
-                                    new_up = cand
+                lower, upper = implied_bounds(ctx, st, a, lo, up, lhs, rhs,
+                                              p.col_integral[j])
+                new_lo = lower if lower is not NEG_INF and lower > lo else lo
+                new_up = upper if upper is not INF and upper < up else up
                 if new_lo > new_up and not ctx.feas_leq(new_lo, new_up):
                     return None
                 if (new_lo, new_up) != (lo, up):
@@ -417,19 +380,15 @@ def _probe_propagate(view: PresolveView, k: int, val: int):
     return bounds
 
 
-def _probe_one(k: int):
-    view = _PROBE_VIEW
-    return (_probe_propagate(view, k, 0), _probe_propagate(view, k, 1))
-
-
 def _probe_chunk(candidates: List[int]):
-    return [(k, _probe_one(k)) for k in candidates]
+    view = _VIEW
+    return [(k, (_probe_propagate(view, k, 0), _probe_propagate(view, k, 1)))
+            for k in candidates]
 
 
 def run_probing(view: PresolveView) -> List[Transaction]:
     """Probe binary columns to 0 and 1; derive fixings, global bounds and
     affine couplings from the two propagation branches."""
-    global _PROBE_VIEW
     p = view.problem
     ctx = view.ctx
     binaries = [j for j in p.active_cols() if p.is_binary(j)]
@@ -442,18 +401,9 @@ def run_probing(view: PresolveView) -> List[Transaction]:
     candidates = binaries[:cap]
     if not candidates:
         return []
-    _PROBE_VIEW = view
-    try:
-        if (view.workers > 1 and view.parallel_enabled
-                and len(candidates) >= PROBING_PARALLEL_MIN_CANDIDATES
-                and p.nnz >= PROBING_PARALLEL_MIN_NNZ):
-            chunks = chunk_evenly(candidates, 4 * view.workers)
-            parts = fork_map(_probe_chunk, chunks, view.workers)
-            results = [r for part in parts for r in part]
-        else:
-            results = _probe_chunk(candidates)
-    finally:
-        _PROBE_VIEW = None
+    results = _fan_out(view, _probe_chunk, candidates,
+                       len(candidates) >= PROBING_PARALLEL_MIN_CANDIDATES
+                       and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
 
     txs: List[Transaction] = []
     for k, (res0, res1) in results:
@@ -547,11 +497,9 @@ def run_substitution(view: PresolveView) -> List[Transaction]:
 # ---------------------------------------------------------------------------
 # Sparsify
 
-_SPARSIFY_VIEW: Optional[PresolveView] = None
-
 
 def _sparsify_equation(e: int) -> List[Transaction]:
-    view = _SPARSIFY_VIEW
+    view = _VIEW
     p = view.problem
     ctx = view.ctx
     eq_entries = p.row_entries(e)
@@ -607,19 +555,10 @@ def _sparsify_chunk(eqs: List[int]) -> List[Transaction]:
 
 def run_sparsify(view: PresolveView) -> List[Transaction]:
     """Add multiples of equations to overlapping rows to cancel nonzeros."""
-    global _SPARSIFY_VIEW
     p = view.problem
     eqs = [i for i in p.active_rows()
            if p.is_equation(i) and len(p.rows[i]) >= 2]
     if not eqs:
         return []
-    _SPARSIFY_VIEW = view
-    try:
-        if (view.workers > 1 and view.parallel_enabled
-                and len(eqs) >= SPARSIFY_PARALLEL_MIN_EQS):
-            chunks = chunk_evenly(eqs, 4 * view.workers)
-            parts = fork_map(_sparsify_chunk, chunks, view.workers)
-            return [tx for part in parts for tx in part]
-        return _sparsify_chunk(eqs)
-    finally:
-        _SPARSIFY_VIEW = None
+    return _fan_out(view, _sparsify_chunk, eqs,
+                    len(eqs) >= SPARSIFY_PARALLEL_MIN_EQS)

@@ -4,11 +4,12 @@ from __future__ import annotations
 from typing import List
 
 from ..model import InfeasibleError
-from ..numerics import (is_finite, bound_improves_lower,
+from ..numerics import (INF, NEG_INF, is_finite, bound_improves_lower,
                         bound_improves_upper)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import PresolveView, coeff_gcd, integral_coeffs
+from .common import (PresolveView, coeff_gcd, implied_bounds,
+                     integral_coeffs)
 
 
 def run_colsingleton(view: PresolveView) -> List[Transaction]:
@@ -138,39 +139,24 @@ def run_propagation(view: PresolveView) -> List[Transaction]:
                 assert_row(i), assert_row_bounds(i),
                 ReductionStep(StepKind.MARK_ROW_REDUNDANT, row=i)]))
             continue
+        state = act.snapshot(i)
         for j, a in entries:
             lo, up = p.col_lower[j], p.col_upper[j]
             integral = p.col_integral[j]
-            if is_finite(rhs):
-                res = act.min_residual(i, a, lo, up)
-                if is_finite(res):
-                    cap = (rhs - res) / a
-                    if a > 0:
-                        cand = ctx.round_down_bound(cap) if integral else cap
-                        if bound_improves_upper(ctx, up, cand, integral):
-                            txs.append(Transaction("propagation", [
-                                ReductionStep(StepKind.CHANGE_UPPER, col=j,
-                                              value=cand)]))
-                    else:
-                        cand = ctx.round_up_bound(cap) if integral else cap
-                        if bound_improves_lower(ctx, lo, cand, integral):
-                            txs.append(Transaction("propagation", [
-                                ReductionStep(StepKind.CHANGE_LOWER, col=j,
-                                              value=cand)]))
-            if is_finite(lhs):
-                res = act.max_residual(i, a, lo, up)
-                if is_finite(res):
-                    cap = (lhs - res) / a
-                    if a > 0:
-                        cand = ctx.round_up_bound(cap) if integral else cap
-                        if bound_improves_lower(ctx, lo, cand, integral):
-                            txs.append(Transaction("propagation", [
-                                ReductionStep(StepKind.CHANGE_LOWER, col=j,
-                                              value=cand)]))
-                    else:
-                        cand = ctx.round_down_bound(cap) if integral else cap
-                        if bound_improves_upper(ctx, up, cand, integral):
-                            txs.append(Transaction("propagation", [
-                                ReductionStep(StepKind.CHANGE_UPPER, col=j,
-                                              value=cand)]))
+            lower, upper = implied_bounds(ctx, state, a, lo, up, lhs, rhs,
+                                          integral)
+            # INF/NEG_INF mean no bound; a Fraction compares slowly with them
+            steps = []
+            if upper is not INF and bound_improves_upper(ctx, up, upper,
+                                                         integral):
+                steps.append(ReductionStep(StepKind.CHANGE_UPPER, col=j,
+                                           value=upper))
+            if lower is not NEG_INF and bound_improves_lower(ctx, lo, lower,
+                                                             integral):
+                steps.append(ReductionStep(StepKind.CHANGE_LOWER, col=j,
+                                           value=lower))
+            if len(steps) == 2 and a < 0:
+                steps.reverse()  # the rhs-implied bound comes first
+            for step in steps:
+                txs.append(Transaction("propagation", [step]))
     return txs

@@ -55,7 +55,7 @@ class RoundStats:
         self.presolver_found = {}
         self.presolver_applied = {}
 
-    def merge_changes(self, other: "_Window") -> None:
+    def merge_changes(self, other: "RoundStats") -> None:
         self.bound_changes += other.bound_changes
         self.deleted_cols += other.deleted_cols
         self.side_changes += other.side_changes
@@ -82,23 +82,6 @@ class RoundStats:
             out[f"presolver.{name}.applied"] = \
                 self.presolver_applied.get(name, 0)
         return out
-
-
-@dataclass
-class _Window:
-    """Reduction counters accumulated since the last evaluation."""
-    bound_changes: int = 0
-    deleted_cols: int = 0
-    side_changes: int = 0
-    deleted_rows: int = 0
-    coeff_changes: int = 0
-
-    def reset(self) -> None:
-        self.bound_changes = 0
-        self.deleted_cols = 0
-        self.side_changes = 0
-        self.deleted_rows = 0
-        self.coeff_changes = 0
 
 
 def enough_reductions(window, problem: Problem, abortfac: float) -> bool:
@@ -138,7 +121,8 @@ class _Driver:
         self.reduced = problem.copy()
         self.record = PostsolveRecord.for_problem(self.reduced)
         self.stats = RoundStats()
-        self.window = _Window()
+        # the change counters of the current round, merged into stats after it
+        self.window = RoundStats()
         self.update = ModelUpdate(self.reduced, stats=self.window,
                                   record=self.record.entries)
         self.update.txn_counter = 0
@@ -160,18 +144,20 @@ class _Driver:
         if mark is None:
             view = PresolveView(self.update.problem, self.update.activities,
                                 self.update.locks, None, None,
-                                workers=self.workers,
-                                parallel_enabled=self.options.internal_parallel)
+                                workers=self.workers)
         else:
             rows, cols = set(), set()
             for kind, idx in self.update.journal[mark:]:
                 (rows if kind == "row" else cols).add(idx)
             view = PresolveView(self.update.problem, self.update.activities,
                                 self.update.locks, rows, cols,
-                                workers=self.workers,
-                                parallel_enabled=self.options.internal_parallel)
+                                workers=self.workers)
         self.watermarks[name] = len(self.update.journal)
         return view
+
+    def _close_window(self) -> None:
+        self.stats.merge_changes(self.window)
+        self.window = self.update.stats = RoundStats()
 
     def _tally(self, txs: List[Transaction],
                outcomes: List[ApplyOutcome]) -> None:
@@ -245,8 +231,7 @@ class _Driver:
                 self._trivial_fixpoint()
                 enough = enough_reductions(self.window, self.update.problem,
                                            self.options.abortfac)
-                self.stats.merge_changes(self.window)
-                self.window.reset()
+                self._close_window()
                 if enough:
                     tier = Tier.FAST
                     continue
@@ -270,8 +255,7 @@ class _Driver:
             self._line(1, f"unbounded: {exc}")
             verdict = Verdict.UNBOUNDED
         if verdict is None:
-            self.stats.merge_changes(self.window)
-            self.window.reset()
+            self._close_window()
             verdict = (Verdict.REDUCED if self.stats.tx_applied > 0
                        else Verdict.UNCHANGED)
         self.stats.presolve_seconds = time.perf_counter() - t0

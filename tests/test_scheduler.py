@@ -8,7 +8,7 @@ from premip import (NumericContext, PresolveOptions, Problem, Verdict,
 from premip.model import InfeasibleError, UnboundedError
 from premip.numerics import INF, NEG_INF
 from premip.presolvers import REGISTRY, PresolveView
-from premip.scheduler import RoundStats, _Window, enough_reductions
+from premip.scheduler import RoundStats, enough_reductions
 from premip.transactions import ApplyOutcome, TxStatus
 
 from conftest import (brute_force, make_problem, random_medium_mip,
@@ -18,7 +18,7 @@ CTX = NumericContext.float64()
 
 
 def _window(**kw):
-    w = _Window()
+    w = RoundStats()
     for k, v in kw.items():
         setattr(w, k, v)
     return w
