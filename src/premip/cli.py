@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from .logs import MessageLog
 from .mps import MpsError, read_mps, read_sol, write_mps, write_sol
 from .options import PresolveOptions, read_param_file
-from .postsolve import PostsolveError, postsolve_primal
+from .postsolve import PostsolveError, _ctx_for, postsolve_primal
 from .presolvers import PRESOLVER_NAMES
 from .records import read_record, write_record
 from .report import build_report, parse_log, render_report, shifted_geomean
@@ -150,9 +150,7 @@ def _cmd_presolve(args) -> int:
 
 def _cmd_postsolve(args) -> int:
     record = read_record(args.record)
-    from .numerics import NumericContext
-    ctx = (NumericContext.rational() if record.mode == "rational"
-           else NumericContext.float64())
+    ctx = _ctx_for(record)
     by_name, _ = read_sol(args.solution, ctx)
     name_to_col = {name: j for j, name in enumerate(record.col_names)}
     reduced_values = {}

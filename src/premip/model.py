@@ -301,9 +301,6 @@ class RowActivities:
         return (self.min_sum[i], self.max_sum[i],
                 self.n_min_inf[i], self.n_max_inf[i])
 
-    def restore(self, i: int, snap: Tuple[Number, Number, int, int]) -> None:
-        self.min_sum[i], self.max_sum[i], self.n_min_inf[i], self.n_max_inf[i] = snap
-
 
 # ---------------------------------------------------------------------------
 # locks
@@ -353,15 +350,17 @@ Setter = Tuple[int, str]  # (applied transaction index, presolver name)
 class ModificationFlags:
     """First-writer markers for the three guarded aspects plus deactivation.
 
-    Cleared at the start of every round (or before every presolver in the
-    sequential apply-immediately mode); set only by the apply engine.
+    The guarded aspects are row coefficients, row sides and column bounds,
+    one per assertion kind of the transaction validator; row_gone/col_gone
+    name who deactivated a row or column.  Cleared at the start of every
+    round (or before every presolver in the sequential apply-immediately
+    mode); set only by the apply engine.
     """
 
     def __init__(self):
         self.row_coeffs: Dict[int, Setter] = {}
         self.row_bounds: Dict[int, Setter] = {}
         self.col_bounds: Dict[int, Setter] = {}
-        self.col_coeffs: Dict[int, Setter] = {}
         self.row_gone: Dict[int, Setter] = {}
         self.col_gone: Dict[int, Setter] = {}
 
@@ -369,7 +368,6 @@ class ModificationFlags:
         self.row_coeffs.clear()
         self.row_bounds.clear()
         self.col_bounds.clear()
-        self.col_coeffs.clear()
         self.row_gone.clear()
         self.col_gone.clear()
 
@@ -385,14 +383,12 @@ class ModificationFlags:
 
 @dataclass
 class FixEntry:
-    kind = "fix"
     col: int
     value: Number
 
 
 @dataclass
 class BoundChangeEntry:
-    kind = "bound"
     col: int
     side: str  # "lower" | "upper"
     old: Number
@@ -401,7 +397,6 @@ class BoundChangeEntry:
 
 @dataclass
 class SideChangeEntry:
-    kind = "side"
     row: int
     side: str  # "lhs" | "rhs"
     old: Number
@@ -410,7 +405,6 @@ class SideChangeEntry:
 
 @dataclass
 class CoeffChangeEntry:
-    kind = "coeff"
     row: int
     col: int
     old: Number
@@ -419,14 +413,12 @@ class CoeffChangeEntry:
 
 @dataclass
 class RedundantRowEntry:
-    kind = "redundant_row"
     row: int
 
 
 @dataclass
 class SubstituteEntry:
     """x[col] was eliminated via the equation sum(coeffs) == rhs."""
-    kind = "substitute"
     col: int
     row: int  # -1 for implied aggregations without a physical row
     coeffs: List[Tuple[int, Number]]
@@ -438,7 +430,6 @@ class SubstituteEntry:
 @dataclass
 class FreeSingletonEntry:
     """Zero-cost continuous singleton relaxed out of its only row."""
-    kind = "free_singleton"
     col: int
     row: int
     coeff: Number
@@ -452,7 +443,6 @@ class FreeSingletonEntry:
 @dataclass
 class AggregateEntry:
     """Columns kept/gone merged into slot `kept`: y = x_kept + scale*x_gone."""
-    kind = "aggregate"
     kept: int
     gone: int
     scale: Number
@@ -464,7 +454,6 @@ class AggregateEntry:
 
 @dataclass
 class ImplyIntegralEntry:
-    kind = "imply_integral"
     col: int
 
 
@@ -494,6 +483,8 @@ class ModelUpdate:
         self.journal: List[Tuple[str, int]] = []
         self.stats = stats
         self.record = record if record is not None else []
+        # index of the next transaction apply_all sees; names first writers
+        self.txn_counter = 0
         self._pending_side_checks: set = set()
 
     # -- journal / flags helpers -------------------------------------------
@@ -534,9 +525,9 @@ class ModelUpdate:
         self.activities.add_entry(i, v, p.col_lower[j], p.col_upper[j])
         self.locks.add_entry(j, v, lfin, rfin)
 
-    def _set_side_raw(self, i: int, side: str, v: Number, setter: Setter,
-                      count: bool = True, record: bool = True,
-                      check: bool = True) -> bool:
+    def _set_side_raw(self, i: int, side: str, v: Number,
+                      setter: Setter) -> bool:
+        """Unchecked, unrecorded side replacement; updates locks."""
         p = self.problem
         old = p.row_lhs[i] if side == "lhs" else p.row_rhs[i]
         if old == v:
@@ -556,16 +547,21 @@ class ModelUpdate:
             lfin, rfin = is_finite(p.row_lhs[i]), is_finite(p.row_rhs[i])
             for j, a in p.rows[i].items():
                 self.locks.add_entry(j, a, lfin, rfin)
-        if check:
-            # deferred: two side steps of one transaction may cross
-            # transiently, so the check runs when the transaction completes
-            self._pending_side_checks.add(i)
         self.flags._mark(self.flags.row_bounds, i, setter)
         self._touch_row(i)
-        if count:
-            self._stat("side_changes")
-        if record:
-            self.record.append(SideChangeEntry(i, side, old, v))
+        return True
+
+    def _change_side(self, i: int, side: str, v: Number,
+                     setter: Setter) -> bool:
+        p = self.problem
+        old = p.row_lhs[i] if side == "lhs" else p.row_rhs[i]
+        if not self._set_side_raw(i, side, v, setter):
+            return False
+        # deferred: two side steps of one transaction may cross
+        # transiently, so the check runs when the transaction completes
+        self._pending_side_checks.add(i)
+        self._stat("side_changes")
+        self.record.append(SideChangeEntry(i, side, old, v))
         return True
 
     def _check_sides(self, i: int) -> None:
@@ -582,9 +578,10 @@ class ModelUpdate:
             if self.problem.row_is_active(i):
                 self._check_sides(i)
 
-    def _set_col_bound_raw(self, j: int, side: str, v: Number, setter: Setter,
-                           count: bool = True, record: bool = True) -> bool:
-        """Unchecked bound replacement (may relax); updates activities."""
+    def _set_col_bound_raw(self, j: int, side: str, v: Number,
+                           setter: Setter) -> bool:
+        """Unchecked, unrecorded bound replacement (may relax); updates
+        activities."""
         p = self.problem
         old = p.col_lower[j] if side == "lower" else p.col_upper[j]
         if old == v:
@@ -600,10 +597,16 @@ class ModelUpdate:
             self._touch_row(i)
         self.flags._mark(self.flags.col_bounds, j, setter)
         self._touch_col(j)
-        if count:
-            self._stat("bound_changes")
-        if record:
-            self.record.append(BoundChangeEntry(j, side, old, v))
+        return True
+
+    def _change_bound(self, j: int, side: str, v: Number,
+                      setter: Setter) -> bool:
+        p = self.problem
+        old = p.col_lower[j] if side == "lower" else p.col_upper[j]
+        if not self._set_col_bound_raw(j, side, v, setter):
+            return False
+        self._stat("bound_changes")
+        self.record.append(BoundChangeEntry(j, side, old, v))
         return True
 
     def _check_empty_row(self, i: int) -> None:
@@ -614,6 +617,40 @@ class ModelUpdate:
                     and self.ctx.feas_leq(zero, p.row_rhs[i])):
                 raise InfeasibleError(
                     f"row {p.row_names[i]} became empty with violated sides")
+
+    # -- elimination helpers --------------------------------------------------
+
+    def _rewrite_sides(self, i: int, lhs: Number, rhs: Number,
+                       setter: Setter) -> None:
+        """Give row i new sides after a column left it."""
+        self._set_side_raw(i, "lhs", lhs, setter)
+        self._set_side_raw(i, "rhs", rhs, setter)
+        self._check_sides(i)
+        self.flags._mark(self.flags.row_coeffs, i, setter)
+        self._touch_row(i)
+
+    def _shift_sides(self, i: int, shift: Number, setter: Setter) -> None:
+        """Subtract shift from the finite sides of row i."""
+        p = self.problem
+        lhs, rhs = p.row_lhs[i], p.row_rhs[i]
+        self._rewrite_sides(i, lhs - shift if is_finite(lhs) else lhs,
+                            rhs - shift if is_finite(rhs) else rhs, setter)
+
+    def _retire_col(self, j: int, state: ColState, setter: Setter) -> None:
+        """Take column j, whose entries are gone, out of the problem."""
+        self.problem.col_state[j] = state
+        self.flags._mark(self.flags.col_bounds, j, setter)
+        self.flags._mark(self.flags.col_gone, j, setter)
+        self._touch_col(j)
+        self._stat("deleted_cols")
+
+    def _settle_defining_row(self, i: int, setter: Setter) -> None:
+        """A row left without finite sides is dropped; else it must hold."""
+        p = self.problem
+        if not is_finite(p.row_lhs[i]) and not is_finite(p.row_rhs[i]):
+            self.mark_row_redundant(i, setter)
+        else:
+            self._check_empty_row(i)
 
     # -- public change operations -------------------------------------------
 
@@ -626,7 +663,7 @@ class ModelUpdate:
             raise InfeasibleError(
                 f"column {p.col_names[j]}: new lower bound crosses upper")
         v = min(v, p.col_upper[j])
-        return self._set_col_bound_raw(j, "lower", v, setter)
+        return self._change_bound(j, "lower", v, setter)
 
     def change_upper(self, j: int, v: Number, setter: Setter) -> bool:
         p = self.problem
@@ -637,13 +674,13 @@ class ModelUpdate:
             raise InfeasibleError(
                 f"column {p.col_names[j]}: new upper bound crosses lower")
         v = max(v, p.col_lower[j])
-        return self._set_col_bound_raw(j, "upper", v, setter)
+        return self._change_bound(j, "upper", v, setter)
 
     def change_lhs(self, i: int, v: Number, setter: Setter) -> bool:
-        return self._set_side_raw(i, "lhs", v, setter)
+        return self._change_side(i, "lhs", v, setter)
 
     def change_rhs(self, i: int, v: Number, setter: Setter) -> bool:
-        return self._set_side_raw(i, "rhs", v, setter)
+        return self._change_side(i, "rhs", v, setter)
 
     def change_coeff(self, i: int, j: int, v: Number, setter: Setter) -> bool:
         p = self.problem
@@ -657,7 +694,6 @@ class ModelUpdate:
         else:
             self._put_entry(i, j, v)
         self.flags._mark(self.flags.row_coeffs, i, setter)
-        self.flags._mark(self.flags.col_coeffs, j, setter)
         self._touch_row(i)
         self._touch_col(j)
         self._stat("coeff_changes")
@@ -672,29 +708,14 @@ class ModelUpdate:
                 and ctx.feas_leq(v, p.col_upper[j])):
             raise InfeasibleError(
                 f"column {p.col_names[j]}: fixing value outside bounds")
-        touched = []
-        for i, a in sorted(p.cols[j].items()):
-            touched.append((i, a))
+        touched = sorted(p.cols[j].items())
         for i, a in touched:
             self._remove_entry(i, j)
-            if is_finite(p.row_lhs[i]):
-                self._set_side_raw(i, "lhs", p.row_lhs[i] - a * v, setter,
-                                   count=False, record=False, check=False)
-            if is_finite(p.row_rhs[i]):
-                self._set_side_raw(i, "rhs", p.row_rhs[i] - a * v, setter,
-                                   count=False, record=False, check=False)
-            self._check_sides(i)
-            self.flags._mark(self.flags.row_coeffs, i, setter)
-            self._touch_row(i)
+            self._shift_sides(i, a * v, setter)
         p.obj_offset = p.obj_offset + p.obj[j] * v
-        p.col_state[j] = ColState.FIXED
         p.col_lower[j] = v
         p.col_upper[j] = v
-        self.flags._mark(self.flags.col_bounds, j, setter)
-        self.flags._mark(self.flags.col_coeffs, j, setter)
-        self.flags._mark(self.flags.col_gone, j, setter)
-        self._touch_col(j)
-        self._stat("deleted_cols")
+        self._retire_col(j, ColState.FIXED, setter)
         self.record.append(FixEntry(j, v))
         for i, _ in touched:
             self._check_empty_row(i)
@@ -707,7 +728,6 @@ class ModelUpdate:
             del p.cols[j][i]
             self.locks.remove_entry(j, a, lfin, rfin)
             p.nnz -= 1
-            self.flags._mark(self.flags.col_coeffs, j, setter)
             self._touch_col(j)
         p.rows[i].clear()
         p.row_active[i] = False
@@ -719,59 +739,55 @@ class ModelUpdate:
         self.record.append(RedundantRowEntry(i))
         return True
 
-    def predict_substitution_fill(self, j: int, i: int) -> int:
-        """Net nnz change of eliminating column j via equation row i."""
+    def _pair_equation(self, j: int, k: int, beta: Number):
+        """x_j := alpha + beta*x_k as the equation x_j - beta*x_k == alpha."""
+        return [(j, self.ctx.number(1)), (k, -beta)]
+
+    def _predict_fill(self, j: int, i: int,
+                      coeffs: List[Tuple[int, Number]]) -> int:
+        """Net nnz change of eliminating column j via sum(coeffs) == rhs,
+        stored in row i (-1 when no row holds the equation)."""
         p = self.problem
         ctx = self.ctx
-        piv = p.rows[i][j]
-        eq_cols = [k for k in p.rows[i] if k != j]
-        delta = 0
+        piv = dict(coeffs)[j]
+        eq_entries = [(k, a) for k, a in coeffs if k != j]
+        delta = 0 if i < 0 else -1  # column j leaves row i
         for r, arj in p.cols[j].items():
             if r == i:
                 continue
             factor = arj / piv
             delta -= 1  # column j leaves row r
-            for k in eq_cols:
+            for k, aik in eq_entries:
                 old = p.rows[r].get(k)
-                new = (old if old is not None else 0) - factor * p.rows[i][k]
+                new = (old if old is not None else 0) - factor * aik
                 if old is None:
                     if not ctx.eq_zero(new):
                         delta += 1
                 elif ctx.eq_zero(new):
                     delta -= 1
-        delta -= 1  # column j leaves row i
         return delta
+
+    def predict_substitution_fill(self, j: int, i: int) -> int:
+        """Net nnz change of eliminating column j via equation row i."""
+        return self._predict_fill(j, i, list(self.problem.rows[i].items()))
 
     def predict_pair_fill(self, j: int, k: int, beta: Number) -> int:
         """Net nnz change of substituting x_j := alpha + beta*x_k."""
-        p = self.problem
-        ctx = self.ctx
-        delta = 0
-        for r, arj in p.cols[j].items():
-            delta -= 1
-            old = p.rows[r].get(k)
-            new = (old if old is not None else 0) + beta * arj
-            if old is None:
-                if not ctx.eq_zero(new):
-                    delta += 1
-            elif ctx.eq_zero(new):
-                delta -= 1
-        return delta
+        return self._predict_fill(j, -1, self._pair_equation(j, k, beta))
 
-    def substitute_column(self, j: int, i: int, setter: Setter) -> bool:
-        """Eliminate column j everywhere using active equation row i."""
+    def _substitute(self, j: int, i: int, coeffs: List[Tuple[int, Number]],
+                    b: Number, setter: Setter) -> Number:
+        """Record the elimination of column j via sum(coeffs) == b (held in
+        row i, or -1) and rewrite every other row and the objective without
+        it; returns the pivot."""
         p = self.problem
         ctx = self.ctx
-        piv = p.rows[i][j]
-        b = p.row_lhs[i]
-        row_snapshot = p.row_entries(i)
-        lo, up = p.col_lower[j], p.col_upper[j]
-        self.record.append(SubstituteEntry(j, i, row_snapshot, b, lo, up))
-        eq_entries = [(k, v) for k, v in row_snapshot if k != j]
-        # rewrite every other row containing j
+        self.record.append(SubstituteEntry(j, i, coeffs, b, p.col_lower[j],
+                                           p.col_upper[j]))
+        piv = dict(coeffs)[j]
+        eq_entries = [(k, v) for k, v in coeffs if k != j]
         for r in sorted(k for k in p.cols[j] if k != i):
-            arj = p.rows[r][j]
-            factor = arj / piv
+            factor = p.rows[r][j] / piv
             self._remove_entry(r, j)
             for k, aik in eq_entries:
                 new = p.rows[r].get(k, ctx.number(0)) - factor * aik
@@ -780,53 +796,35 @@ class ModelUpdate:
                         self._remove_entry(r, k)
                 else:
                     self._put_entry(r, k, new)
-                self.flags._mark(self.flags.col_coeffs, k, setter)
                 self._touch_col(k)
                 self._stat("coeff_changes")
-            shift = factor * b
-            if is_finite(p.row_lhs[r]):
-                self._set_side_raw(r, "lhs", p.row_lhs[r] - shift, setter,
-                                   count=False, record=False, check=False)
-            if is_finite(p.row_rhs[r]):
-                self._set_side_raw(r, "rhs", p.row_rhs[r] - shift, setter,
-                                   count=False, record=False, check=False)
-            self._check_sides(r)
-            self.flags._mark(self.flags.row_coeffs, r, setter)
-            self._touch_row(r)
+            self._shift_sides(r, factor * b, setter)
             self._check_empty_row(r)
-        # objective
         cj = p.obj[j]
         if cj != 0:
             p.obj_offset = p.obj_offset + cj * b / piv
             for k, aik in eq_entries:
                 p.obj[k] = p.obj[k] - cj * aik / piv
             p.obj[j] = ctx.number(0)
+        return piv
+
+    def substitute_column(self, j: int, i: int, setter: Setter) -> bool:
+        """Eliminate column j everywhere using active equation row i."""
+        p = self.problem
+        lo, up = p.col_lower[j], p.col_upper[j]
+        b = p.row_lhs[i]
+        piv = self._substitute(j, i, p.row_entries(i), b, setter)
         # the defining row now carries the bounds of the eliminated column
         self._remove_entry(i, j)
-        self.flags._mark(self.flags.row_coeffs, i, setter)
         if piv > 0:
             new_lhs = b - piv * up if is_finite(up) else NEG_INF
             new_rhs = b - piv * lo if is_finite(lo) else INF
         else:
             new_lhs = b - piv * lo if is_finite(lo) else NEG_INF
             new_rhs = b - piv * up if is_finite(up) else INF
-        self._set_side_raw(i, "lhs", new_lhs, setter, count=False,
-                           record=False, check=False)
-        self._set_side_raw(i, "rhs", new_rhs, setter, count=False,
-                           record=False, check=False)
-        self._check_sides(i)
-        p.col_state[j] = ColState.SUBSTITUTED
-        p.cols[j].clear()
-        self.flags._mark(self.flags.col_bounds, j, setter)
-        self.flags._mark(self.flags.col_coeffs, j, setter)
-        self.flags._mark(self.flags.col_gone, j, setter)
-        self._touch_col(j)
-        self._touch_row(i)
-        self._stat("deleted_cols")
-        if not is_finite(new_lhs) and not is_finite(new_rhs):
-            self.mark_row_redundant(i, setter)
-        else:
-            self._check_empty_row(i)
+        self._rewrite_sides(i, new_lhs, new_rhs, setter)
+        self._retire_col(j, ColState.SUBSTITUTED, setter)
+        self._settle_defining_row(i, setter)
         return True
 
     def substitute_pair(self, j: int, k: int, alpha: Number, beta: Number,
@@ -835,34 +833,7 @@ class ModelUpdate:
         p = self.problem
         ctx = self.ctx
         lo, up = p.col_lower[j], p.col_upper[j]
-        self.record.append(SubstituteEntry(
-            j, -1, [(j, ctx.number(1)), (k, -beta)], alpha, lo, up))
-        for r in sorted(p.cols[j]):
-            arj = p.rows[r][j]
-            self._remove_entry(r, j)
-            new = p.rows[r].get(k, ctx.number(0)) + beta * arj
-            if ctx.eq_zero(new):
-                if k in p.rows[r]:
-                    self._remove_entry(r, k)
-            else:
-                self._put_entry(r, k, new)
-            self._stat("coeff_changes")
-            shift = arj * alpha
-            if is_finite(p.row_lhs[r]):
-                self._set_side_raw(r, "lhs", p.row_lhs[r] - shift, setter,
-                                   count=False, record=False, check=False)
-            if is_finite(p.row_rhs[r]):
-                self._set_side_raw(r, "rhs", p.row_rhs[r] - shift, setter,
-                                   count=False, record=False, check=False)
-            self._check_sides(r)
-            self.flags._mark(self.flags.row_coeffs, r, setter)
-            self._touch_row(r)
-            self._check_empty_row(r)
-        cj = p.obj[j]
-        if cj != 0:
-            p.obj_offset = p.obj_offset + cj * alpha
-            p.obj[k] = p.obj[k] + beta * cj
-            p.obj[j] = ctx.number(0)
+        self._substitute(j, -1, self._pair_equation(j, k, beta), alpha, setter)
         # bounds of x_j imply bounds on x_k
         if beta > 0:
             imp_lo = (lo - alpha) / beta if is_finite(lo) else NEG_INF
@@ -877,17 +848,10 @@ class ModelUpdate:
             self.change_lower(k, imp_lo, setter)
         if is_finite(imp_up):
             self.change_upper(k, imp_up, setter)
-        p.col_state[j] = ColState.SUBSTITUTED
-        p.cols[j].clear()
-        self.flags._mark(self.flags.col_bounds, j, setter)
-        self.flags._mark(self.flags.col_coeffs, j, setter)
-        self.flags._mark(self.flags.col_gone, j, setter)
+        self._retire_col(j, ColState.SUBSTITUTED, setter)
         # the receiving column's role changed even if its bounds did not
         self.flags._mark(self.flags.col_bounds, k, setter)
-        self.flags._mark(self.flags.col_coeffs, k, setter)
-        self._touch_col(j)
         self._touch_col(k)
-        self._stat("deleted_cols")
         return True
 
     def delete_free_singleton(self, j: int, i: int, setter: Setter) -> bool:
@@ -905,24 +869,10 @@ class ModelUpdate:
         else:
             new_rhs = rhs - a * up if (is_finite(rhs) and is_finite(up)) else INF
             new_lhs = lhs - a * lo if (is_finite(lhs) and is_finite(lo)) else NEG_INF
-        self._set_side_raw(i, "lhs", new_lhs, setter, count=False,
-                           record=False, check=False)
-        self._set_side_raw(i, "rhs", new_rhs, setter, count=False,
-                           record=False, check=False)
-        self._check_sides(i)
-        self.flags._mark(self.flags.row_coeffs, i, setter)
+        self._rewrite_sides(i, new_lhs, new_rhs, setter)
         self.flags._mark(self.flags.row_bounds, i, setter)
-        p.col_state[j] = ColState.INACTIVE
-        self.flags._mark(self.flags.col_bounds, j, setter)
-        self.flags._mark(self.flags.col_coeffs, j, setter)
-        self.flags._mark(self.flags.col_gone, j, setter)
-        self._touch_row(i)
-        self._touch_col(j)
-        self._stat("deleted_cols")
-        if not is_finite(new_lhs) and not is_finite(new_rhs):
-            self.mark_row_redundant(i, setter)
-        else:
-            self._check_empty_row(i)
+        self._retire_col(j, ColState.INACTIVE, setter)
+        self._settle_defining_row(i, setter)
         return True
 
     def aggregate_parallel_cols(self, gone: int, kept: int, scale: Number,
@@ -945,19 +895,11 @@ class ModelUpdate:
         else:
             new_lo = lo_k + scale * up_g if (is_finite(lo_k) and is_finite(up_g)) else NEG_INF
             new_up = up_k + scale * lo_g if (is_finite(up_k) and is_finite(lo_g)) else INF
-        self._set_col_bound_raw(kept, "lower", new_lo, setter, count=False,
-                                record=False)
-        self._set_col_bound_raw(kept, "upper", new_up, setter, count=False,
-                                record=False)
-        p.col_state[gone] = ColState.SUBSTITUTED
-        self.flags._mark(self.flags.col_bounds, gone, setter)
-        self.flags._mark(self.flags.col_coeffs, gone, setter)
-        self.flags._mark(self.flags.col_gone, gone, setter)
+        self._set_col_bound_raw(kept, "lower", new_lo, setter)
+        self._set_col_bound_raw(kept, "upper", new_up, setter)
+        self._retire_col(gone, ColState.SUBSTITUTED, setter)
         self.flags._mark(self.flags.col_bounds, kept, setter)
-        self.flags._mark(self.flags.col_coeffs, kept, setter)
-        self._touch_col(gone)
         self._touch_col(kept)
-        self._stat("deleted_cols")
         return True
 
     def imply_integral(self, j: int, setter: Setter) -> bool:
@@ -973,8 +915,8 @@ class ModelUpdate:
             raise InfeasibleError(
                 f"column {p.col_names[j]}: integral rounding empties domain")
         if is_finite(lo) and lo > p.col_lower[j]:
-            self._set_col_bound_raw(j, "lower", lo, setter)
+            self._change_bound(j, "lower", lo, setter)
         if is_finite(up) and up < p.col_upper[j]:
-            self._set_col_bound_raw(j, "upper", up, setter)
+            self._change_bound(j, "upper", up, setter)
         self._touch_col(j)
         return True

@@ -39,29 +39,29 @@ _RUNNERS = {
 }
 
 _ORDERED = [
-    ("colsingleton", Tier.FAST, False, False),
-    ("coefftightening", Tier.FAST, False, False),
-    ("propagation", Tier.FAST, False, False),
-    ("simpleprobing", Tier.MEDIUM, False, False),
-    ("parallelrows", Tier.MEDIUM, False, False),
-    ("parallelcols", Tier.MEDIUM, False, False),
-    ("stuffing", Tier.MEDIUM, False, False),
-    ("dualfix", Tier.MEDIUM, False, False),
-    ("fixcontinuous", Tier.MEDIUM, False, False),
-    ("simplifyineq", Tier.MEDIUM, False, False),
-    ("doubletoneq", Tier.MEDIUM, False, False),
-    ("implint", Tier.EXHAUSTIVE, False, False),
-    ("domcol", Tier.EXHAUSTIVE, False, True),
-    ("dualinfer", Tier.EXHAUSTIVE, False, False),
-    ("probing", Tier.EXHAUSTIVE, False, True),
-    ("substitution", Tier.EXHAUSTIVE, False, False),
-    ("sparsify", Tier.EXHAUSTIVE, True, True),
+    ("colsingleton", Tier.FAST, False),
+    ("coefftightening", Tier.FAST, False),
+    ("propagation", Tier.FAST, False),
+    ("simpleprobing", Tier.MEDIUM, False),
+    ("parallelrows", Tier.MEDIUM, False),
+    ("parallelcols", Tier.MEDIUM, False),
+    ("stuffing", Tier.MEDIUM, False),
+    ("dualfix", Tier.MEDIUM, False),
+    ("fixcontinuous", Tier.MEDIUM, False),
+    ("simplifyineq", Tier.MEDIUM, False),
+    ("doubletoneq", Tier.MEDIUM, False),
+    ("implint", Tier.EXHAUSTIVE, False),
+    ("domcol", Tier.EXHAUSTIVE, False),
+    ("dualinfer", Tier.EXHAUSTIVE, False),
+    ("probing", Tier.EXHAUSTIVE, False),
+    ("substitution", Tier.EXHAUSTIVE, False),
+    ("sparsify", Tier.EXHAUSTIVE, True),
 ]
 
 REGISTRY: List[PresolverDescriptor] = [
     PresolverDescriptor(name=name, tier=tier, apply_order=order,
-                        delayed=delayed, internal_parallel=par)
-    for order, (name, tier, delayed, par) in enumerate(_ORDERED)
+                        delayed=delayed)
+    for order, (name, tier, delayed) in enumerate(_ORDERED)
 ]
 
 PRESOLVER_NAMES = [d.name for d in REGISTRY]

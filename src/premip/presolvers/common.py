@@ -25,7 +25,6 @@ class PresolverDescriptor:
     tier: Tier
     apply_order: int
     delayed: bool = False
-    internal_parallel: bool = False
 
     def __post_init__(self):
         if self.delayed and self.tier is not Tier.EXHAUSTIVE:

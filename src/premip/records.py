@@ -4,12 +4,18 @@ The default format is a length-prefixed little-endian binary stream; a
 human-readable line-based text format is available behind a flag.  Numbers
 are 8-byte doubles in float mode and exact 'p/q' strings in rational mode;
 infinite bounds get their own tag so they survive both encodings.
+
+One table, `_LAYOUT`, gives every entry kind its tag and the order and
+kind of its fields; the binary writer, the text writer and both readers
+all walk it.  A truncated or malformed file raises RecordFormatError with
+the byte offset (binary) or the line number (text).
 """
 from __future__ import annotations
 
+import io
 import struct
 from fractions import Fraction
-from typing import BinaryIO
+from typing import BinaryIO, Callable, Dict, Iterator, Tuple
 
 from .model import (AggregateEntry, BoundChangeEntry, CoeffChangeEntry,
                     FixEntry, FreeSingletonEntry, ImplyIntegralEntry,
@@ -20,25 +26,67 @@ from .transactions import PostsolveRecord
 MAGIC = b"PMRC"
 VERSION = 1
 
-_ENTRY_TAGS = {
-    FixEntry: 1,
-    BoundChangeEntry: 2,
-    SideChangeEntry: 3,
-    CoeffChangeEntry: 4,
-    RedundantRowEntry: 5,
-    SubstituteEntry: 6,
-    FreeSingletonEntry: 7,
-    AggregateEntry: 8,
-    ImplyIntegralEntry: 9,
-}
-_TAG_ENTRIES = {v: k for k, v in _ENTRY_TAGS.items()}
+# Wire layout of every entry kind; an entry's tag is its 1-based position.
+# Field kinds: i integer, s string, n number, p list of (int, number) pairs
+# written as its length followed by the pairs.
+_LAYOUT = [
+    (FixEntry, "col:i value:n"),
+    (BoundChangeEntry, "col:i side:s old:n new:n"),
+    (SideChangeEntry, "row:i side:s old:n new:n"),
+    (CoeffChangeEntry, "row:i col:i old:n new:n"),
+    (RedundantRowEntry, "row:i"),
+    (SubstituteEntry, "col:i row:i rhs:n lb:n ub:n coeffs:p"),
+    (FreeSingletonEntry, "col:i row:i coeff:n lhs:n rhs:n lb:n ub:n rest:p"),
+    (AggregateEntry,
+     "kept:i gone:i scale:n kept_lb:n kept_ub:n gone_lb:n gone_ub:n"),
+    (ImplyIntegralEntry, "col:i"),
+]
+_FIELDS = {cls: [f.split(":") for f in spec.split()] for cls, spec in _LAYOUT}
+_ENTRY_TAGS = {cls: tag for tag, (cls, _) in enumerate(_LAYOUT, 1)}
 
 
 class RecordFormatError(ValueError):
     pass
 
 
+def _flatten(entry) -> Iterator[Tuple[str, object]]:
+    """(kind, value) pairs of an entry in wire order."""
+    for name, kind in _FIELDS[type(entry)]:
+        value = getattr(entry, name)
+        if kind == "p":
+            yield "i", len(value)
+            for j, a in value:
+                yield "i", j
+                yield "n", a
+        else:
+            yield kind, value
+
+
+def _build_entry(tag: int, readers: Dict[str, Callable[[], object]]):
+    """Rebuild an entry from its tag; readers[kind]() reads the next field."""
+    if not 1 <= tag <= len(_LAYOUT):
+        raise RecordFormatError(f"unknown entry tag {tag}")
+    cls = _LAYOUT[tag - 1][0]
+    read_i, read_n = readers["i"], readers["n"]
+    values = {}
+    for name, kind in _FIELDS[cls]:
+        if kind == "p":
+            values[name] = [(read_i(), read_n()) for _ in range(read_i())]
+        else:
+            values[name] = readers[kind]()
+    return cls(**values)
+
+
 # -- binary primitives -------------------------------------------------------
+
+
+def _read(fh: BinaryIO, n: int) -> bytes:
+    data = fh.read(n) if n >= 0 else b""
+    if len(data) != n:
+        raise RecordFormatError(f"record truncated at byte "
+                                f"{fh.tell() - len(data)}: {n} bytes expected, "
+                                f"{len(data)} left")
+    return data
 
 
 def _w_u64(fh: BinaryIO, v: int) -> None:
@@ -46,7 +94,7 @@ def _w_u64(fh: BinaryIO, v: int) -> None:
 
 
 def _r_u64(fh: BinaryIO) -> int:
-    return struct.unpack("<q", fh.read(8))[0]
+    return struct.unpack("<q", _read(fh, 8))[0]
 
 
 def _w_str(fh: BinaryIO, s: str) -> None:
@@ -57,7 +105,7 @@ def _w_str(fh: BinaryIO, s: str) -> None:
 
 def _r_str(fh: BinaryIO) -> str:
     n = _r_u64(fh)
-    return fh.read(n).decode("utf-8")
+    return _read(fh, n).decode("utf-8")
 
 
 def _w_num(fh: BinaryIO, v: Number, rational: bool) -> None:
@@ -74,82 +122,21 @@ def _w_num(fh: BinaryIO, v: Number, rational: bool) -> None:
 
 
 def _r_num(fh: BinaryIO, rational: bool) -> Number:
-    tag = fh.read(1)
+    tag = _read(fh, 1)
     if tag == b"\x01":
         return INF
     if tag == b"\x02":
         return NEG_INF
     if tag != b"\x00":
-        raise RecordFormatError("corrupt number tag")
+        raise RecordFormatError(f"corrupt number tag at byte {fh.tell() - 1}")
     if rational:
-        return Fraction(_r_str(fh))
-    return struct.unpack("<d", fh.read(8))[0]
-
-
-def _entry_fields(entry) -> list:
-    if isinstance(entry, FixEntry):
-        return ["i", entry.col, "n", entry.value]
-    if isinstance(entry, BoundChangeEntry):
-        return ["i", entry.col, "s", entry.side, "n", entry.old, "n", entry.new]
-    if isinstance(entry, SideChangeEntry):
-        return ["i", entry.row, "s", entry.side, "n", entry.old, "n", entry.new]
-    if isinstance(entry, CoeffChangeEntry):
-        return ["i", entry.row, "i", entry.col, "n", entry.old, "n", entry.new]
-    if isinstance(entry, RedundantRowEntry):
-        return ["i", entry.row]
-    if isinstance(entry, SubstituteEntry):
-        flat = ["i", entry.col, "i", entry.row, "n", entry.rhs,
-                "n", entry.lb, "n", entry.ub, "i", len(entry.coeffs)]
-        for j, a in entry.coeffs:
-            flat += ["i", j, "n", a]
-        return flat
-    if isinstance(entry, FreeSingletonEntry):
-        flat = ["i", entry.col, "i", entry.row, "n", entry.coeff,
-                "n", entry.lhs, "n", entry.rhs, "n", entry.lb, "n", entry.ub,
-                "i", len(entry.rest)]
-        for j, a in entry.rest:
-            flat += ["i", j, "n", a]
-        return flat
-    if isinstance(entry, AggregateEntry):
-        return ["i", entry.kept, "i", entry.gone, "n", entry.scale,
-                "n", entry.kept_lb, "n", entry.kept_ub,
-                "n", entry.gone_lb, "n", entry.gone_ub]
-    if isinstance(entry, ImplyIntegralEntry):
-        return ["i", entry.col]
-    raise RecordFormatError(f"unknown entry type {type(entry).__name__}")
-
-
-def _build_entry(tag: int, read_i, read_n, read_s):
-    cls = _TAG_ENTRIES.get(tag)
-    if cls is None:
-        raise RecordFormatError(f"unknown entry tag {tag}")
-    if cls is FixEntry:
-        return FixEntry(read_i(), read_n())
-    if cls is BoundChangeEntry:
-        return BoundChangeEntry(read_i(), read_s(), read_n(), read_n())
-    if cls is SideChangeEntry:
-        return SideChangeEntry(read_i(), read_s(), read_n(), read_n())
-    if cls is CoeffChangeEntry:
-        return CoeffChangeEntry(read_i(), read_i(), read_n(), read_n())
-    if cls is RedundantRowEntry:
-        return RedundantRowEntry(read_i())
-    if cls is SubstituteEntry:
-        col, row, rhs, lb, ub = read_i(), read_i(), read_n(), read_n(), read_n()
-        n = read_i()
-        coeffs = [(read_i(), read_n()) for _ in range(n)]
-        return SubstituteEntry(col, row, coeffs, rhs, lb, ub)
-    if cls is FreeSingletonEntry:
-        col, row, coeff = read_i(), read_i(), read_n()
-        lhs, rhs, lb, ub = read_n(), read_n(), read_n(), read_n()
-        n = read_i()
-        rest = [(read_i(), read_n()) for _ in range(n)]
-        return FreeSingletonEntry(col, row, coeff, rest, lhs, rhs, lb, ub)
-    if cls is AggregateEntry:
-        return AggregateEntry(read_i(), read_i(), read_n(), read_n(),
-                              read_n(), read_n(), read_n())
-    if cls is ImplyIntegralEntry:
-        return ImplyIntegralEntry(read_i())
-    raise RecordFormatError(f"unhandled entry tag {tag}")  # pragma: no cover
+        text = _r_str(fh)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise RecordFormatError(
+                f"bad number {text!r} before byte {fh.tell()}") from None
+    return struct.unpack("<d", _read(fh, 8))[0]
 
 
 # -- binary format -----------------------------------------------------------
@@ -162,6 +149,8 @@ def write_record(record: PostsolveRecord, path: str,
         return
     rational = record.mode == "rational"
     with open(path, "wb") as fh:
+        writers = {"i": lambda v: _w_u64(fh, v), "s": lambda v: _w_str(fh, v),
+                   "n": lambda v: _w_num(fh, v, rational)}
         fh.write(MAGIC)
         _w_u64(fh, VERSION)
         fh.write(b"\x01" if rational else b"\x00")
@@ -177,39 +166,30 @@ def write_record(record: PostsolveRecord, path: str,
         _w_u64(fh, len(record.entries))
         for entry in record.entries:
             _w_u64(fh, _ENTRY_TAGS[type(entry)])
-            fields = _entry_fields(entry)
-            for kind, value in zip(fields[::2], fields[1::2]):
-                if kind == "i":
-                    _w_u64(fh, value)
-                elif kind == "s":
-                    _w_str(fh, value)
-                else:
-                    _w_num(fh, value, rational)
+            for kind, value in _flatten(entry):
+                writers[kind](value)
 
 
 def read_record(path: str) -> PostsolveRecord:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head != MAGIC:
-            fh.close()
-            return _read_text(path)
-        version = _r_u64(fh)
-        if version != VERSION:
-            raise RecordFormatError(f"unsupported record version {version}")
-        rational = fh.read(1) == b"\x01"
-        nrows, ncols = _r_u64(fh), _r_u64(fh)
-        offset = _r_num(fh, rational)
-        objective = [_r_num(fh, rational) for _ in range(ncols)]
-        col_names = [_r_str(fh) for _ in range(ncols)]
-        row_names = [_r_str(fh) for _ in range(nrows)]
-        n_entries = _r_u64(fh)
-        read_i = lambda: _r_u64(fh)
-        read_n = lambda: _r_num(fh, rational)
-        read_s = lambda: _r_str(fh)
-        entries = []
-        for _ in range(n_entries):
-            tag = _r_u64(fh)
-            entries.append(_build_entry(tag, read_i, read_n, read_s))
+    with open(path, "rb") as raw:
+        # in memory, so a corrupt length can never ask for more than is left
+        fh = io.BytesIO(raw.read())
+    if fh.read(4) != MAGIC:
+        return _read_text(path)
+    version = _r_u64(fh)
+    if version != VERSION:
+        raise RecordFormatError(f"unsupported record version {version}")
+    rational = _read(fh, 1) == b"\x01"
+    readers = {"i": lambda: _r_u64(fh), "s": lambda: _r_str(fh),
+               "n": lambda: _r_num(fh, rational)}
+    nrows, ncols = _r_u64(fh), _r_u64(fh)
+    offset = _r_num(fh, rational)
+    objective = [_r_num(fh, rational) for _ in range(ncols)]
+    col_names = [_r_str(fh) for _ in range(ncols)]
+    row_names = [_r_str(fh) for _ in range(nrows)]
+    n_entries = _r_u64(fh)
+    entries = [_build_entry(_r_u64(fh), readers)
+               for _ in range(n_entries)]
     return PostsolveRecord(
         original_nrows=nrows, original_ncols=ncols, objective=objective,
         objective_offset=offset, col_names=col_names, row_names=row_names,
@@ -241,9 +221,8 @@ def _write_text(record: PostsolveRecord, path: str) -> None:
         fh.write("colnames " + " ".join(record.col_names) + "\n")
         fh.write("rownames " + " ".join(record.row_names) + "\n")
         for entry in record.entries:
-            fields = _entry_fields(entry)
             parts = [str(_ENTRY_TAGS[type(entry)])]
-            for kind, value in zip(fields[::2], fields[1::2]):
+            for kind, value in _flatten(entry):
                 parts.append(str(value) if kind in ("i", "s")
                              else _fmt_num(value))
             fh.write("entry " + " ".join(parts) + "\n")
@@ -251,12 +230,25 @@ def _write_text(record: PostsolveRecord, path: str) -> None:
 
 def _read_text(path: str) -> PostsolveRecord:
     with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != _TEXT_HEADER:
-            raise RecordFormatError(f"{path}: not a postsolve record")
-        if int(header[1]) != VERSION:
-            raise RecordFormatError(f"unsupported record version {header[1]}")
-        mode = header[2]
+        lines = [line.split() for line in fh]
+    lineno = 0
+
+    def take(key: str, count: int = -1) -> list:
+        """The fields after `key` on the next line; count of them if given."""
+        nonlocal lineno
+        tokens = lines[lineno] if lineno < len(lines) else []
+        lineno += 1
+        if not tokens or tokens[0] != key:
+            raise ValueError(f"expected a {key!r} line")
+        if count >= 0 and len(tokens) != count + 1:
+            raise ValueError(f"{count} fields expected, {len(tokens) - 1} found")
+        return tokens[1:]
+
+    mode = None
+    try:
+        version, mode = take(_TEXT_HEADER, 2)
+        if int(version) != VERSION:
+            raise RecordFormatError(f"unsupported record version {version}")
         rational = mode == "rational"
 
         def parse_num(tok: str) -> Number:
@@ -266,25 +258,27 @@ def _read_text(path: str) -> PostsolveRecord:
                 return NEG_INF
             return Fraction(tok) if rational else float(tok)
 
-        dims = fh.readline().split()
-        nrows, ncols = int(dims[1]), int(dims[2])
-        offset = parse_num(fh.readline().split()[1])
-        objective = [parse_num(t) for t in fh.readline().split()[1:]]
-        col_names = fh.readline().split()[1:]
-        row_names = fh.readline().split()[1:]
+        nrows, ncols = (int(t) for t in take("dims", 2))
+        offset = parse_num(take("offset", 1)[0])
+        objective = [parse_num(t) for t in take("obj", ncols)]
+        col_names = take("colnames", ncols)
+        row_names = take("rownames", nrows)
         entries = []
-        for line in fh:
-            tokens = line.split()
-            if not tokens:
+        readers = {"i": lambda: int(next(tokens)),
+                   "s": lambda: next(tokens),
+                   "n": lambda: parse_num(next(tokens))}
+        while lineno < len(lines):
+            if not lines[lineno]:
+                lineno += 1
                 continue
-            if tokens[0] != "entry":
-                raise RecordFormatError(f"unexpected line {line!r}")
-            it = iter(tokens[1:])
-            tag = int(next(it))
-            read_i = lambda: int(next(it))
-            read_n = lambda: parse_num(next(it))
-            read_s = lambda: next(it)
-            entries.append(_build_entry(tag, read_i, read_n, read_s))
+            tokens = iter(take("entry"))
+            entries.append(_build_entry(readers["i"](), readers))
+            if next(tokens, None) is not None:
+                raise ValueError("trailing fields")
+    except (ValueError, StopIteration, ZeroDivisionError) as exc:
+        why = (str(exc) or "too few fields") if mode else \
+            "not a postsolve record"
+        raise RecordFormatError(f"{path}:{lineno}: {why}") from None
     return PostsolveRecord(
         original_nrows=nrows, original_ncols=ncols, objective=objective,
         objective_offset=offset, col_names=col_names, row_names=row_names,

@@ -125,7 +125,6 @@ class _Driver:
         self.window = RoundStats()
         self.update = ModelUpdate(self.reduced, stats=self.window,
                                   record=self.record.entries)
-        self.update.txn_counter = 0
         self.watermarks: Dict[str, Optional[int]] = {}
         # rows and columns of trivial transactions that were not applied;
         # the journal need not list them, so the next trivial scan adds them
@@ -225,7 +224,9 @@ class _Driver:
                           and self.options.is_enabled(d.name)
                           and (not d.delayed or delayed_enabled)]
                 if self.options.apply_immediately and self.workers == 1:
-                    self._round_immediate(active)
+                    # sequential mode: later presolvers see updated data
+                    for desc in active:
+                        self._round_batched([desc])
                 else:
                     self._round_batched(active)
                 self._trivial_fixpoint()
@@ -274,19 +275,6 @@ class _Driver:
             collected.extend(txs)
         outcomes = apply_all(self.update, collected, self.log)
         self._tally(collected, outcomes)
-
-    def _round_immediate(self, active) -> None:
-        """Sequential mode: apply each presolver's transactions before the
-        next presolver runs, so later presolvers see updated data."""
-        for desc in active:
-            self.update.flags.clear()
-            view = self._make_view(desc.name)
-            txs = runner(desc.name)(view)
-            if not txs:
-                continue
-            self._line(3, f"presolver {desc.name} found {len(txs)}")
-            outcomes = apply_all(self.update, txs, self.log)
-            self._tally(txs, outcomes)
 
 
 def presolve(problem: Problem, options: Optional[PresolveOptions] = None,

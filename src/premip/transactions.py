@@ -284,7 +284,7 @@ def apply_all(update: ModelUpdate, transactions: List[Transaction],
     list.  Infeasible/unbounded signals propagate as exceptions.
     """
     outcomes: List[ApplyOutcome] = []
-    counter = getattr(update, "txn_counter", 0)
+    counter = update.txn_counter
     for txn in transactions:
         conflict = _validate(update, txn)
         if conflict is not None:

@@ -7,7 +7,8 @@ from premip.model import (ColState, InfeasibleError, Locks, ModelUpdate,
                           RowActivities)
 from premip.numerics import INF, NEG_INF
 
-from conftest import make_problem
+from conftest import (make_problem, random_medium_mip, random_mixed_mip,
+                      to_rational)
 
 CTX = NumericContext.float64()
 SETTER = (0, "test")
@@ -245,6 +246,65 @@ class TestApplyChange:
                 except InfeasibleError:
                     break
                 p.check_consistent()
+
+
+def _fill_corpus():
+    for seed in range(200):
+        yield random_mixed_mip(random.Random(seed))
+    for seed in range(12):
+        yield random_medium_mip(random.Random(seed), 60, 48)
+
+
+class TestFillPrediction:
+    """predict_*_fill decides which substitutions are CANCELED, so it must
+    equal the nnz change the elimination it predicts really makes."""
+
+    @staticmethod
+    def _realized(problem, eliminate):
+        """(nnz change, problem) of eliminate(update), or None when the
+        elimination proves infeasibility."""
+        p = problem.copy()
+        upd = ModelUpdate(p)
+        before = p.nnz
+        try:
+            eliminate(upd)
+        except InfeasibleError:
+            return None
+        return p.nnz - before, p
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_prediction_equals_realized_change(self, rational):
+        checked = {"substitute": 0, "pair": 0, "fill": 0}
+        for base in _fill_corpus():
+            problem = to_rational(base) if rational else base
+            upd = ModelUpdate(problem)
+            for i in range(problem.nrows):
+                if not problem.is_equation(i):
+                    continue
+                row = problem.rows[i]
+                for j, aij in row.items():
+                    predicted = upd.predict_substitution_fill(j, i)
+                    out = self._realized(
+                        problem, lambda u: u.substitute_column(j, i, SETTER))
+                    # a defining row left free is dropped with its entries
+                    if out is not None and out[1].row_is_active(i):
+                        assert out[0] == predicted, (i, j)
+                        checked["substitute"] += 1
+                        checked["fill"] += predicted > 0
+                    for k, aik in row.items():
+                        if k == j:
+                            continue
+                        # x_j := -(aik/aij) x_k cancels x_k out of row i
+                        beta = -aik / aij
+                        predicted = upd.predict_pair_fill(j, k, beta)
+                        out = self._realized(
+                            problem, lambda u: u.substitute_pair(
+                                j, k, problem.ctx.number(0), beta, SETTER))
+                        if out is not None:
+                            assert out[0] == predicted, (i, j, k)
+                            checked["pair"] += 1
+                            checked["fill"] += predicted > 0
+        assert min(checked.values()) > 100, checked
 
 
 class TestProblemBasics:

@@ -802,7 +802,3 @@ class TestRegistry:
         for d in REGISTRY:
             if d.delayed:
                 assert d.tier is Tier.EXHAUSTIVE
-
-    def test_internally_parallel_set(self):
-        par = {d.name for d in REGISTRY if d.internal_parallel}
-        assert par == {"probing", "domcol", "sparsify"}
