@@ -3,9 +3,11 @@
 Both fixed- and free-format MPS are handled by whitespace tokenization
 (names therefore must not contain blanks).  Supported sections: NAME,
 OBJSENSE (minimization only), ROWS, COLUMNS with INTORG/INTEND markers,
-RHS, RANGES, BOUNDS, ENDATA.  Integral columns without BOUNDS entries get
-the modern default [0, +inf); pass legacy_integer_bounds=True for the
-historical [0, 1] default.
+RHS, RANGES, BOUNDS, ENDATA.  A NaN literal, an infinite coefficient or
+objective value and a file that ends before ENDATA raise MpsError with the
+line number.  Integral columns without BOUNDS entries get the modern
+default [0, +inf); pass legacy_integer_bounds=True for the historical
+[0, 1] default.
 """
 from __future__ import annotations
 
@@ -47,9 +49,12 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
 
     def parse_num(tok: str, lineno: int) -> Number:
         try:
-            return ctx.parse(tok)
+            val = ctx.parse(tok)
         except (ValueError, ArithmeticError):
             raise MpsError(f"bad numeric literal {tok!r}", lineno)
+        if val != val:
+            raise MpsError(f"NaN literal {tok!r}", lineno)
+        return val
 
     def get_col(name: str, lineno: int) -> int:
         if name not in col_index:
@@ -61,6 +66,8 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
             raise MpsError(f"unknown row {name!r}", lineno)
         return row_index[name]
 
+    ended = False
+    lineno = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             if raw.startswith("*") or not raw.strip():
@@ -72,6 +79,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                 if section == "NAME":
                     problem.name = tokens[1] if len(tokens) > 1 else "problem"
                 if section == "ENDATA":
+                    ended = True
                     break
                 continue
             if section is None:
@@ -119,6 +127,9 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                 j = col_index[cname]
                 for pos in range(1, len(tokens), 2):
                     rname, val = tokens[pos], parse_num(tokens[pos + 1], lineno)
+                    if not is_finite(val):
+                        raise MpsError(f"infinite value {tokens[pos + 1]!r} "
+                                       f"for column {cname!r}", lineno)
                     if rname == obj_row:
                         problem.obj[j] = val
                         continue
@@ -206,6 +217,9 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
             else:  # pragma: no cover
                 raise MpsError(f"unhandled section {section}", lineno)
 
+    if not ended:
+        # write_mps always ends with ENDATA: without it the file was cut
+        raise MpsError("file ends before ENDATA", lineno or None)
     if obj_row is None:
         raise MpsError("no objective (N) row declared")
     if legacy_integer_bounds:

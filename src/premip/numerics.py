@@ -148,25 +148,31 @@ class NumericContext:
         return abs(v - round(v)) <= self.feastol
 
     def round(self, v: Number) -> Number:
-        return self.number(round(v))
+        return self._from_int(round(v))
 
     def floor(self, v: Number) -> Number:
         """Exact floor (no tolerance); agrees with rational floor."""
-        return self.number(math.floor(v))
+        return self._from_int(math.floor(v))
 
     def ceil(self, v: Number) -> Number:
-        return self.number(math.ceil(v))
+        return self._from_int(math.ceil(v))
 
     def round_down_bound(self, v: Number) -> Number:
         """Round an upper bound inward for an integral column."""
         if not is_finite(v):
             return v
-        return self.number(math.floor(v + self.feastol))
+        return self._from_int(math.floor(v + self.feastol))
 
     def round_up_bound(self, v: Number) -> Number:
         if not is_finite(v):
             return v
-        return self.number(math.ceil(v - self.feastol))
+        return self._from_int(math.ceil(v - self.feastol))
+
+    def _from_int(self, v: int) -> Number:
+        """number() of an int, which is always finite."""
+        if self.mode is Mode.RATIONAL:
+            return Fraction(v)
+        return float(v)
 
     # -- derived thresholds -------------------------------------------------
 

@@ -130,21 +130,23 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
       entries are removed, so reading them would change those results;
     - FixContinuous' `_worst_case_cap` and `_fix_value_feasible` compute
       other quantities;
-    - probing's overlay update (`shift`) stays inline; routing it through
-      `model._min_contribution` made probing of `probing_chain_instance(600)`
-      1.13x slower (CPU time, best of 8 interleaved runs, 2-core x86 VM).
+    - probing's overlay update, which moves a column's shares in its rows'
+      activity sums when its bounds change, is written out in
+      `exhaustive._probe_propagate` so that it decides the finiteness of
+      the old and new bounds once per bound change instead of once per row.
     """
     min_sum, max_sum, n_min_inf, n_max_inf = state
     positive = a > 0  # compared once: slow for a Fraction
     lower, upper = NEG_INF, INF
     if is_finite(rhs):
-        # minimum activity without this entry, whose share is a*lo or a*up
+        # minimum activity without this entry, whose share is a*lo or a*up;
+        # None when another entry's share is infinite
         low = lo if positive else up
         if is_finite(low):
-            res = min_sum - a * low if n_min_inf <= 0 else NEG_INF
+            res = min_sum - a * low if n_min_inf <= 0 else None
         else:
-            res = min_sum if n_min_inf <= 1 else NEG_INF
-        if is_finite(res):
+            res = min_sum if n_min_inf <= 1 else None
+        if res is not None and is_finite(res):
             cap = (rhs - res) / a
             if positive:
                 upper = ctx.round_down_bound(cap) if integral else cap
@@ -153,10 +155,10 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
     if is_finite(lhs):
         high = up if positive else lo
         if is_finite(high):
-            res = max_sum - a * high if n_max_inf <= 0 else INF
+            res = max_sum - a * high if n_max_inf <= 0 else None
         else:
-            res = max_sum if n_max_inf <= 1 else INF
-        if is_finite(res):
+            res = max_sum if n_max_inf <= 1 else None
+        if res is not None and is_finite(res):
             cap = (lhs - res) / a
             if positive:
                 lower = ctx.round_up_bound(cap) if integral else cap

@@ -1,5 +1,10 @@
 """Exhaustive presolvers; Probing, DomCol and Sparsify fan their iteration
-space out to forked workers when the instance is big enough to pay for it."""
+space out to forked workers when the instance is big enough to pay for it.
+
+Each worker turns its chunk into transactions, so only transactions come
+back to the parent.  Probing propagates each branch on scratch overlays of
+the bounds and row activities; the sorted entries of the rows it reads are
+kept for one call only."""
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
@@ -18,8 +23,11 @@ PROBING_PARALLEL_MIN_NNZ = 2000
 DOMCOL_PARALLEL_MIN_GROUPS = 512
 SPARSIFY_PARALLEL_MIN_EQS = 512
 
-# the view of the presolver whose chunks run; forked workers inherit it
+# the view of the presolver whose chunks run, and the sorted entries of the
+# rows its chunks have read so far; forked workers inherit both, and both
+# are cleared when the call ends
 _VIEW: Optional[PresolveView] = None
+_SORTED_ROWS: Dict[int, List[Tuple[int, Number]]] = {}
 
 
 def _fan_out(view: PresolveView, chunk_fn, items: list,
@@ -37,6 +45,7 @@ def _fan_out(view: PresolveView, chunk_fn, items: list,
         return chunk_fn(items)
     finally:
         _VIEW = None
+        _SORTED_ROWS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -287,85 +296,90 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
 # Probing
 
 
-def _probe_propagate(view: PresolveView, k: int, val: int):
+def _probe_propagate(view: PresolveView, rows: Dict[int, list], k: int,
+                     val: int):
     """Fix binary k to val and run up to two propagation passes on scratch
-    bound/activity overlays.  Returns {col: (lo, up)} or None if infeasible."""
+    bound/activity overlays.  Returns {col: (lo, up)} or None if infeasible.
+    rows caches the sorted entries of the rows read, keyed by row."""
     p = view.problem
     ctx = view.ctx
     act = view.activities
+    col_lower, col_upper, cols = p.col_lower, p.col_upper, p.cols
+    row_lhs, row_rhs, integral = p.row_lhs, p.row_rhs, p.col_integral
     bounds: Dict[int, Tuple[Number, Number]] = {}
     rowstate: Dict[int, list] = {}
 
-    def col_bounds(j):
-        if j in bounds:
-            return bounds[j]
-        return p.col_lower[j], p.col_upper[j]
-
-    def row_state(i):
-        st = rowstate.get(i)
-        if st is None:
-            st = list(act.snapshot(i))
-            rowstate[i] = st
-        return st
-
-    def shift(i, a, old_lo, old_up, new_lo, new_up):
-        st = row_state(i)
-        for sign, lo, up in ((-1, old_lo, old_up), (1, new_lo, new_up)):
+    def set_bounds(j, lo, up, new_lo, new_up):
+        """Move column j's shares in its rows' overlays from (lo, up) to
+        (new_lo, new_up): the old share is subtracted, then the new one
+        added, slot by slot."""
+        lo_fin, up_fin = is_finite(lo), is_finite(up)
+        new_lo_fin, new_up_fin = is_finite(new_lo), is_finite(new_up)
+        # change of the count of infinite lower/upper bounds
+        d_lo = (not new_lo_fin) - (not lo_fin)
+        d_up = (not new_up_fin) - (not up_fin)
+        for i, a in cols[j].items():
+            st = rowstate.get(i)
+            if st is None:
+                st = rowstate[i] = list(act.snapshot(i))
             if a > 0:
-                if is_finite(lo):
-                    st[0] += sign * a * lo
-                else:
-                    st[2] += sign
-                if is_finite(up):
-                    st[1] += sign * a * up
-                else:
-                    st[3] += sign
+                if lo_fin:
+                    st[0] -= a * lo
+                if new_lo_fin:
+                    st[0] += a * new_lo
+                if up_fin:
+                    st[1] -= a * up
+                if new_up_fin:
+                    st[1] += a * new_up
+                st[2] += d_lo
+                st[3] += d_up
             else:
-                if is_finite(up):
-                    st[0] += sign * a * up
-                else:
-                    st[2] += sign
-                if is_finite(lo):
-                    st[1] += sign * a * lo
-                else:
-                    st[3] += sign
-
-    def set_bounds(j, new_lo, new_up):
-        old_lo, old_up = col_bounds(j)
-        if new_lo == old_lo and new_up == old_up:
-            return False
-        for i, a in p.cols[j].items():
-            shift(i, a, old_lo, old_up, new_lo, new_up)
+                if up_fin:
+                    st[0] -= a * up
+                if new_up_fin:
+                    st[0] += a * new_up
+                if lo_fin:
+                    st[1] -= a * lo
+                if new_lo_fin:
+                    st[1] += a * new_lo
+                st[2] += d_up
+                st[3] += d_lo
         bounds[j] = (new_lo, new_up)
-        return True
 
     v = ctx.number(val)
-    set_bounds(k, v, v)
-    affected = set(p.cols[k].keys())
+    if v != col_lower[k] or v != col_upper[k]:
+        set_bounds(k, col_lower[k], col_upper[k], v, v)
+    affected = set(cols[k])
     for _ in range(2):
         next_affected = set()
         for i in sorted(affected):
-            st = row_state(i)
+            st = rowstate.get(i)
+            if st is None:
+                st = rowstate[i] = list(act.snapshot(i))
             min_eff = NEG_INF if st[2] else st[0]
             max_eff = INF if st[3] else st[1]
-            lhs, rhs = p.row_lhs[i], p.row_rhs[i]
+            lhs, rhs = row_lhs[i], row_rhs[i]
             if is_finite(rhs) and not ctx.feas_leq(min_eff, rhs):
                 return None
             if is_finite(lhs) and not ctx.feas_leq(lhs, max_eff):
                 return None
-            for j, a in p.row_entries(i):
-                lo, up = col_bounds(j)
+            entries = rows.get(i)
+            if entries is None:
+                entries = rows[i] = p.row_entries(i)
+            for j, a in entries:
+                b = bounds.get(j)
+                lo, up = (col_lower[j], col_upper[j]) if b is None else b
                 if lo == up:
                     continue
                 lower, upper = implied_bounds(ctx, st, a, lo, up, lhs, rhs,
-                                              p.col_integral[j])
+                                              integral[j])
                 new_lo = lower if lower is not NEG_INF and lower > lo else lo
                 new_up = upper if upper is not INF and upper < up else up
                 if new_lo > new_up and not ctx.feas_leq(new_lo, new_up):
                     return None
-                if (new_lo, new_up) != (lo, up):
-                    if set_bounds(j, new_lo, new_up):
-                        next_affected.update(p.cols[j].keys())
+                if new_lo is not lo or new_up is not up:
+                    set_bounds(j, lo, up, new_lo, new_up)
+                    next_affected.update(cols[j])
         affected = next_affected
         if not affected:
             break
@@ -373,24 +387,76 @@ def _probe_propagate(view: PresolveView, k: int, val: int):
         st = rowstate[i]
         min_eff = NEG_INF if st[2] else st[0]
         max_eff = INF if st[3] else st[1]
-        if is_finite(p.row_rhs[i]) and not ctx.feas_leq(min_eff, p.row_rhs[i]):
+        if is_finite(row_rhs[i]) and not ctx.feas_leq(min_eff, row_rhs[i]):
             return None
-        if is_finite(p.row_lhs[i]) and not ctx.feas_leq(p.row_lhs[i], max_eff):
+        if is_finite(row_lhs[i]) and not ctx.feas_leq(row_lhs[i], max_eff):
             return None
     return bounds
 
 
-def _probe_chunk(candidates: List[int]):
+def _probe_merge(view: PresolveView, k: int, res0: Optional[dict],
+                 res1: Optional[dict]) -> List[Transaction]:
+    """Transactions from probing k's two branches, at least one feasible:
+    fixings, global bounds and affine couplings."""
+    p = view.problem
+    ctx = view.ctx
+    if res0 is None:
+        return [Transaction("probing", [ReductionStep(
+            StepKind.FIX_COLUMN, col=k, value=ctx.number(1))])]
+    if res1 is None:
+        return [Transaction("probing", [ReductionStep(
+            StepKind.FIX_COLUMN, col=k, value=ctx.number(0))])]
+    touched = sorted((set(res0) | set(res1)) - {k})
+    bound_steps = []
+    aggregations = []
+    for j in touched:
+        lo0, up0 = res0.get(j, (p.col_lower[j], p.col_upper[j]))
+        lo1, up1 = res1.get(j, (p.col_lower[j], p.col_upper[j]))
+        glb, gub = min(lo0, lo1), max(up0, up1)
+        integral = p.col_integral[j]
+        if bound_improves_lower(ctx, p.col_lower[j], glb, integral):
+            bound_steps.append(ReductionStep(StepKind.CHANGE_LOWER,
+                                             col=j, value=glb))
+        if bound_improves_upper(ctx, p.col_upper[j], gub, integral):
+            bound_steps.append(ReductionStep(StepKind.CHANGE_UPPER,
+                                             col=j, value=gub))
+        forced0 = ctx.approx_eq(lo0, up0)
+        forced1 = ctx.approx_eq(lo1, up1)
+        if forced0 and forced1 and not ctx.approx_eq(lo0, lo1):
+            alpha, beta = lo0, lo1 - lo0
+            if p.col_integral[j] and not (ctx.is_integral(alpha)
+                                          and ctx.is_integral(beta)):
+                continue
+            aggregations.append(Transaction("probing", [
+                assert_col_bounds(j), assert_col_bounds(k),
+                ReductionStep(StepKind.SUBSTITUTE_COLUMN, col=j, col2=k,
+                              value=alpha, scale=beta)]))
+    return [Transaction("probing", [step]) for step in bound_steps] \
+        + aggregations
+
+
+def _probe_chunk(candidates: List[int]) -> list:
+    """The candidates' transactions in order.  A candidate whose two
+    branches are both infeasible ends the chunk with an InfeasibleError,
+    which run_probing raises."""
     view = _VIEW
-    return [(k, (_probe_propagate(view, k, 0), _probe_propagate(view, k, 1)))
-            for k in candidates]
+    out: list = []
+    for k in candidates:
+        res0 = _probe_propagate(view, _SORTED_ROWS, k, 0)
+        res1 = _probe_propagate(view, _SORTED_ROWS, k, 1)
+        if res0 is None and res1 is None:
+            out.append(InfeasibleError(
+                f"probing {view.problem.col_names[k]}: both branches "
+                f"infeasible"))
+            break
+        out.extend(_probe_merge(view, k, res0, res1))
+    return out
 
 
 def run_probing(view: PresolveView) -> List[Transaction]:
     """Probe binary columns to 0 and 1; derive fixings, global bounds and
     affine couplings from the two propagation branches."""
     p = view.problem
-    ctx = view.ctx
     binaries = [j for j in p.active_cols() if p.is_binary(j)]
     if view.is_fresh():
         changed_bins = binaries
@@ -401,51 +467,13 @@ def run_probing(view: PresolveView) -> List[Transaction]:
     candidates = binaries[:cap]
     if not candidates:
         return []
-    results = _fan_out(view, _probe_chunk, candidates,
-                       len(candidates) >= PROBING_PARALLEL_MIN_CANDIDATES
-                       and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
-
-    txs: List[Transaction] = []
-    for k, (res0, res1) in results:
-        if res0 is None and res1 is None:
-            raise InfeasibleError(
-                f"probing {p.col_names[k]}: both branches infeasible")
-        if res0 is None:
-            txs.append(Transaction("probing", [ReductionStep(
-                StepKind.FIX_COLUMN, col=k, value=ctx.number(1))]))
-            continue
-        if res1 is None:
-            txs.append(Transaction("probing", [ReductionStep(
-                StepKind.FIX_COLUMN, col=k, value=ctx.number(0))]))
-            continue
-        touched = sorted((set(res0) | set(res1)) - {k})
-        bound_steps = []
-        aggregations = []
-        for j in touched:
-            lo0, up0 = res0.get(j, (p.col_lower[j], p.col_upper[j]))
-            lo1, up1 = res1.get(j, (p.col_lower[j], p.col_upper[j]))
-            glb, gub = min(lo0, lo1), max(up0, up1)
-            integral = p.col_integral[j]
-            if bound_improves_lower(ctx, p.col_lower[j], glb, integral):
-                bound_steps.append(ReductionStep(StepKind.CHANGE_LOWER,
-                                                 col=j, value=glb))
-            if bound_improves_upper(ctx, p.col_upper[j], gub, integral):
-                bound_steps.append(ReductionStep(StepKind.CHANGE_UPPER,
-                                                 col=j, value=gub))
-            forced0 = ctx.approx_eq(lo0, up0)
-            forced1 = ctx.approx_eq(lo1, up1)
-            if forced0 and forced1 and not ctx.approx_eq(lo0, lo1):
-                alpha, beta = lo0, lo1 - lo0
-                if p.col_integral[j] and not (ctx.is_integral(alpha)
-                                              and ctx.is_integral(beta)):
-                    continue
-                aggregations.append(Transaction("probing", [
-                    assert_col_bounds(j), assert_col_bounds(k),
-                    ReductionStep(StepKind.SUBSTITUTE_COLUMN, col=j, col2=k,
-                                  value=alpha, scale=beta)]))
-        for step in bound_steps:
-            txs.append(Transaction("probing", [step]))
-        txs.extend(aggregations)
+    txs = _fan_out(view, _probe_chunk, candidates,
+                   len(candidates) >= PROBING_PARALLEL_MIN_CANDIDATES
+                   and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
+    # chunks are contiguous, so the first error is the first candidate's
+    for tx in txs:
+        if isinstance(tx, InfeasibleError):
+            raise tx
     return txs
 
 

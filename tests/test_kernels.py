@@ -1,12 +1,14 @@
 """The shared implied-bound kernel and the exhaustive tier's fork fan-out."""
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import premip.presolvers.exhaustive as exhaustive
-from premip import NumericContext, Problem
-from premip.model import ModelUpdate, RowActivities
+from premip import NumericContext, Problem, apply_all
+from premip.model import InfeasibleError, ModelUpdate, RowActivities
 from premip.numerics import INF, NEG_INF, is_finite
 from premip.parallel import fork_map
 from premip.presolvers import PresolveView, runner
@@ -28,6 +30,26 @@ def _numbers(rational):
     return st.floats(min_value=-8, max_value=8, allow_nan=False)
 
 
+def _add_col(draw, p, nums):
+    """A column with finite or infinite bounds, integral or continuous."""
+    lo = draw(st.one_of(st.just(NEG_INF), nums))
+    span = draw(st.one_of(st.just(INF), nums.map(abs)))
+    up = INF if not is_finite(span) else (
+        span if not is_finite(lo) else lo + span)
+    p.add_col(lo, up, 0, draw(st.booleans()))
+
+
+def _sides(draw, nums):
+    """(lhs, rhs) of a <=, >=, ranged or equality row."""
+    side = draw(nums)
+    kind = draw(st.sampled_from(["le", "ge", "range", "eq"]))
+    width = abs(draw(nums))
+    lhs = NEG_INF if kind == "le" else side
+    rhs = (INF if kind == "ge" else side + width if kind == "range"
+           else side)
+    return lhs, rhs
+
+
 @st.composite
 def rows(draw, rational):
     """A one- or two-sided row over columns with finite or infinite bounds."""
@@ -36,20 +58,10 @@ def rows(draw, rational):
     p = Problem(ctx)
     n = draw(st.integers(1, 6))
     for _ in range(n):
-        lo = draw(st.one_of(st.just(NEG_INF), nums))
-        span = draw(st.one_of(st.just(INF), nums.map(abs)))
-        up = INF if not is_finite(span) else (
-            span if not is_finite(lo) else lo + span)
-        p.add_col(lo, up, 0, draw(st.booleans()))
+        _add_col(draw, p, nums)
     coeffs = draw(st.lists(nums.filter(lambda v: abs(v) >= 1e-3),
                            min_size=n, max_size=n))
-    side = draw(nums)
-    kind = draw(st.sampled_from(["le", "ge", "range", "eq"]))
-    width = abs(draw(nums))
-    lhs = NEG_INF if kind == "le" else side
-    rhs = (INF if kind == "ge" else side + width if kind == "range"
-           else side)
-    p.add_row(dict(enumerate(coeffs)), lhs, rhs)
+    p.add_row(dict(enumerate(coeffs)), *_sides(draw, nums))
     return p
 
 
@@ -74,13 +86,14 @@ def _expected_from_residuals(ctx, act, a, lo, up, lhs, rhs, integral):
     return lower, upper
 
 
-def _residuals_from_scratch(p, k):
-    """Minimum and maximum activity of row 0 without column k."""
+def _residuals_from_scratch(p, k, i=0, col=None):
+    """Minimum and maximum activity of row i without column k; col(j) gives
+    the bounds, the problem's by default."""
     mn, mx = Fraction(0), Fraction(0)
-    for j, a in p.rows[0].items():
+    for j, a in p.rows[i].items():
         if j == k:
             continue
-        lo, up = p.col_lower[j], p.col_upper[j]
+        lo, up = col(j) if col else (p.col_lower[j], p.col_upper[j])
         low, high = (lo, up) if a > 0 else (up, lo)
         mn = mn + a * low if is_finite(low) and is_finite(mn) else NEG_INF
         mx = mx + a * high if is_finite(high) and is_finite(mx) else INF
@@ -128,6 +141,93 @@ class TestImpliedBounds:
                                  p.col_lower[j], p.col_upper[j], lhs, rhs,
                                  integral)
             assert got == (lower, upper)
+
+
+# ---------------------------------------------------------------------------
+# probing's overlay propagation
+
+
+@st.composite
+def probe_problems(draw):
+    """Rational rows over a binary column 0 and columns with finite or
+    infinite bounds, integral or continuous; coefficients of both signs."""
+    nums = _numbers(True)
+    p = Problem(RATIONAL)
+    n = draw(st.integers(2, 5))
+    p.add_col(0, 1, 0, True)
+    for _ in range(n - 1):
+        _add_col(draw, p, nums)
+    for _ in range(draw(st.integers(1, 4))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                             unique=True))
+        coeffs = [draw(nums.filter(lambda v: v != 0)) for _ in cols]
+        p.add_row(dict(zip(cols, coeffs)), *_sides(draw, nums))
+    return p
+
+
+def _reference_probe(p, k, val):
+    """_probe_propagate written from scratch: every activity and residual
+    is summed anew from the overlay bounds."""
+    bounds = {}
+
+    def col(j):
+        return bounds.get(j, (p.col_lower[j], p.col_upper[j]))
+
+    def row_feasible(i):
+        mn, mx = _residuals_from_scratch(p, None, i, col)
+        return mn <= p.row_rhs[i] and p.row_lhs[i] <= mx
+
+    v = Fraction(val)
+    if (v, v) != col(k):
+        bounds[k] = (v, v)
+    affected = set(p.cols[k])
+    for _ in range(2):
+        next_affected = set()
+        for i in sorted(affected):
+            if not row_feasible(i):
+                return None
+            lhs, rhs = p.row_lhs[i], p.row_rhs[i]
+            for j, a in sorted(p.rows[i].items()):
+                lo, up = col(j)
+                if lo == up:
+                    continue
+                mn, mx = _residuals_from_scratch(p, j, i, col)
+                caps = []
+                if is_finite(rhs) and is_finite(mn):
+                    caps.append(("up" if a > 0 else "lo", (rhs - mn) / a))
+                if is_finite(lhs) and is_finite(mx):
+                    caps.append(("lo" if a > 0 else "up", (lhs - mx) / a))
+                new_lo, new_up = lo, up
+                for side, cap in caps:
+                    if side == "lo":
+                        cap = math.ceil(cap) if p.col_integral[j] else cap
+                        new_lo = max(new_lo, cap)
+                    else:
+                        cap = math.floor(cap) if p.col_integral[j] else cap
+                        new_up = min(new_up, cap)
+                if new_lo > new_up:
+                    return None
+                if (new_lo, new_up) != (lo, up):
+                    bounds[j] = (new_lo, new_up)
+                    next_affected.update(p.cols[j])
+        affected = next_affected
+        if not affected:
+            break
+    touched = set(p.cols[k]).union(*(p.cols[j] for j in bounds))
+    if not all(row_feasible(i) for i in touched):
+        return None
+    return bounds
+
+
+class TestProbePropagate:
+    @settings(max_examples=300, deadline=None)
+    @given(probe_problems())
+    def test_rational_equals_from_scratch_reference(self, p):
+        upd = ModelUpdate(p)
+        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        for val in (0, 1):
+            got = exhaustive._probe_propagate(view, {}, 0, val)
+            assert got == _reference_probe(p, 0, val)
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +282,88 @@ class TestFanOut:
         for chunk_fn in ("_domcol_chunk", "_probe_chunk", "_sparsify_chunk"):
             for workers in (2, 3):
                 assert (chunk_fn, workers) in forked
+
+
+def _probe_at_each_worker_count(upd):
+    """run_probing's transactions (repr) or InfeasibleError message at
+    workers 1, 2 and 3."""
+    out = {}
+    for workers in (1, 2, 3):
+        view = PresolveView(upd.problem, upd.activities, upd.locks,
+                            workers=workers)
+        try:
+            out[workers] = repr(exhaustive.run_probing(view))
+        except InfeasibleError as err:
+            out[workers] = f"InfeasibleError: {err}"
+        assert exhaustive._VIEW is None and not exhaustive._SORTED_ROWS
+    return out
+
+
+def _infeasible_gadgets(offsets):
+    """Binaries x0..x29; for each offset o, x_o = x_{o+1} and
+    x_o + x_{o+1} = 1 make both probing branches of x_o infeasible."""
+    p = Problem(FLOAT)
+    for j in range(30):
+        p.add_col(0, 1, 0, True, name=f"x{j}")
+    for j in range(0, 30, 2):
+        p.add_row({j: 1, j + 1: 1}, NEG_INF, 1)
+    for o in offsets:
+        p.add_row({o + 1: 1, o: -1}, 0, INF)
+        p.add_row({o: 1, o + 1: -1}, 0, INF)
+        p.add_row({o: 1, o + 1: 1}, 1, INF)
+    return p
+
+
+class TestProbingAcrossWorkers:
+    """run_probing with every fork threshold at zero, so workers 2 and 3
+    fork; the merge into transactions runs in the workers."""
+
+    @pytest.fixture(autouse=True)
+    def forced_forks(self, monkeypatch):
+        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_CANDIDATES", 0)
+        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_NNZ", 0)
+        forked = []
+
+        def recording_fork_map(fn, items, workers):
+            forked.append(workers)
+            return fork_map(fn, items, workers)
+
+        monkeypatch.setattr(exhaustive, "fork_map", recording_fork_map)
+        yield
+        assert 2 in forked and 3 in forked
+
+    def test_rows_out_of_key_order_after_substitution(self):
+        found = unordered = 0
+        for seed in range(4):
+            p = random_medium_mip(random.Random(seed), 60, 40)
+            for i in range(p.nrows):
+                p.rows[i] = dict(sorted(p.rows[i].items()))
+            upd = ModelUpdate(p)
+            view = PresolveView(upd.problem, upd.activities, upd.locks)
+            apply_all(upd, runner("substitution")(view))
+            q = upd.problem
+            unordered += sum(list(q.rows[i]) != sorted(q.rows[i])
+                             for i in q.active_rows())
+            txs = _probe_at_each_worker_count(upd)
+            assert txs[2] == txs[1] and txs[3] == txs[1], seed
+            found += txs[1].count("Transaction(")
+        assert unordered and found
+
+    def test_both_branches_infeasible_reports_first_candidate(self):
+        # x10 comes first in candidate order, in an earlier chunk than
+        # x22 and x26 at 2 and 3 workers
+        upd = ModelUpdate(_infeasible_gadgets([22, 10, 26]))
+        msgs = _probe_at_each_worker_count(upd)
+        assert set(msgs.values()) == {
+            "InfeasibleError: probing x10: both branches infeasible"}
+
+    def test_sorted_rows_die_with_the_call(self, monkeypatch):
+        """Probing A and then B equals probing B alone, with a cache that
+        never saw A: no sorted row of A is read for B."""
+        a = ModelUpdate(random_medium_mip(random.Random(5), 60, 40))
+        b = ModelUpdate(random_medium_mip(random.Random(6), 60, 40))
+        _probe_at_each_worker_count(a)
+        after_a = _probe_at_each_worker_count(b)
+        monkeypatch.setattr(exhaustive, "_SORTED_ROWS", {})
+        assert _probe_at_each_worker_count(b) == after_a
+

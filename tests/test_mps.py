@@ -215,6 +215,59 @@ class TestReaderErrors:
         with pytest.raises(MpsError):
             read_mps(write_tmp(tmp_path, text), CTX)
 
+    NAN_MPS = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X OBJ 1 R1 2\n"
+               "{columns}RHS\n{rhs}RANGES\n{ranges}BOUNDS\n{bounds}"
+               "ENDATA\n")
+
+    @pytest.mark.parametrize("section,line", [
+        ("columns", " Y OBJ 1 R1 nan\n"),
+        ("columns", " Y OBJ NaN\n"),
+        ("rhs", " RHS R1 nan\n"),
+        ("ranges", " RNG R1 -nan\n"),
+        ("bounds", " UP BND X nan\n")])
+    def test_nan_literal_in_any_section(self, tmp_path, section, line):
+        parts = dict.fromkeys(("columns", "rhs", "ranges", "bounds"), "")
+        parts[section] = line
+        text = self.NAN_MPS.format(**parts)
+        lineno = text.splitlines().index(line.rstrip("\n")) + 1
+        with pytest.raises(MpsError) as err:
+            read_mps(write_tmp(tmp_path, text), CTX)
+        assert err.value.line == lineno and "NaN" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "-Infinity"])
+    @pytest.mark.parametrize("row", ["R1", "OBJ"])
+    def test_infinite_coefficient_or_objective(self, tmp_path, value, row):
+        text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X R1 1\n"
+                f" Y {row} {value}\nRHS\nENDATA\n")
+        with pytest.raises(MpsError) as err:
+            read_mps(write_tmp(tmp_path, text), CTX)
+        assert "line 7" in str(err.value) and "infinite" in str(err.value)
+
+    def test_infinite_sides_and_bounds_still_read(self, tmp_path):
+        text = ("NAME t\nROWS\n N OBJ\n L R1\n G R2\nCOLUMNS\n"
+                " X R1 1 R2 1\nRHS\n RHS R1 inf R2 -inf\nBOUNDS\n"
+                " LO BND X -inf\n UP BND X inf\nENDATA\n")
+        p = read_mps(write_tmp(tmp_path, text), CTX)
+        assert p.row_rhs[0] == INF and p.row_lhs[1] == NEG_INF
+        assert (p.col_lower[0], p.col_upper[0]) == (NEG_INF, INF)
+
+    def test_file_cut_before_endata(self, tmp_path):
+        p = random_medium_mip(random.Random(4), 20, 15)
+        whole = str(tmp_path / "whole.mps")
+        write_mps(p, whole)
+        lines = open(whole).read().splitlines()
+        assert lines[-1] == "ENDATA"
+        for keep in (len(lines) - 1, lines.index("RHS"), 3):
+            cut = write_tmp(tmp_path, "\n".join(lines[:keep]) + "\n",
+                            f"cut{keep}.mps")
+            with pytest.raises(MpsError) as err:
+                read_mps(cut, CTX)
+            assert str(err.value) == f"line {keep}: file ends before ENDATA"
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(MpsError, match="^file ends before ENDATA$"):
+            read_mps(write_tmp(tmp_path, ""), CTX)
+
 
 def problems_equivalent(a: Problem, b: Problem) -> bool:
     """Equality of the active parts up to row/column order (by name)."""

@@ -90,6 +90,16 @@ class TestFloorCeil:
         assert FLOAT.round_down_bound(2.5) == 2
         assert RAT.round_down_bound(Fraction(5, 2)) == 2
 
+    def test_rounding_keeps_the_mode_type_and_infinities(self):
+        for ctx, v, kind in ((FLOAT, 2.5, float), (RAT, Fraction(5, 2),
+                                                   Fraction)):
+            for f in (ctx.round_down_bound, ctx.round_up_bound, ctx.floor,
+                      ctx.ceil, ctx.round):
+                assert type(f(v)) is kind
+            for inf in (INF, NEG_INF):
+                assert ctx.round_down_bound(inf) is inf
+                assert ctx.round_up_bound(inf) is inf
+
 
 class _NaiveFraction:
     """Slow big-integer pair arithmetic, the oracle for exactness."""
@@ -174,4 +184,12 @@ class TestMisc:
         assert not is_finite(INF)
         assert not is_finite(NEG_INF)
         assert is_finite(Fraction(10**30))
+
+    def test_is_finite_over_accepted_types(self):
+        import numpy
+        assert is_finite(numpy.float64(1.5)) and is_finite(10**400)
+        assert not is_finite(numpy.float64("inf"))
+        assert not is_finite(numpy.float64("nan"))
+        assert not is_finite(math.nan)
+        assert is_finite(Fraction(-7, 3)) and is_finite(0) and is_finite(True)
         assert Fraction(1, 2) < INF
