@@ -4,10 +4,11 @@ Both fixed- and free-format MPS are handled by whitespace tokenization
 (names therefore must not contain blanks).  Supported sections: NAME,
 OBJSENSE (minimization only), ROWS, COLUMNS with INTORG/INTEND markers,
 RHS, RANGES, BOUNDS, ENDATA.  A NaN literal, an infinite coefficient or
-objective value and a file that ends before ENDATA raise MpsError with the
-line number.  Integral columns without BOUNDS entries get the modern
-default [0, +inf); pass legacy_integer_bounds=True for the historical
-[0, 1] default.
+objective value, a header of another standard section (SOS, QUADOBJ, ...),
+a data line under NAME and a file that ends before ENDATA raise MpsError
+with the line number.  Free-format data lines may start in column 1.
+Integral columns without BOUNDS entries get the modern default [0, +inf);
+pass legacy_integer_bounds=True for the historical [0, 1] default.
 """
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ class MpsError(ValueError):
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES",
              "BOUNDS", "ENDATA"}
+# standard section headers of extended MPS that this reader cannot represent
+_UNSUPPORTED = {"SOS", "QUADOBJ", "QMATRIX", "QSECTION", "QCMATRIX",
+                "CSECTION", "INDICATORS", "LAZYCONS", "USERCUTS", "GENCONS"}
 
 
 def read_mps(path: str, ctx: Optional[NumericContext] = None,
@@ -74,16 +78,25 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                 continue
             headerish = not raw[0].isspace()
             tokens = raw.split()
-            if headerish and tokens[0] in _SECTIONS:
+            # only NAME and OBJSENSE headers carry a field: "RHS R1 4" in
+            # column 1 is a free-format data line of a set named RHS
+            if headerish and tokens[0] in _SECTIONS and (
+                    len(tokens) == 1 or tokens[0] in ("NAME", "OBJSENSE")):
                 section = tokens[0]
                 if section == "NAME":
                     problem.name = tokens[1] if len(tokens) > 1 else "problem"
                 if section == "ENDATA":
                     ended = True
                     break
-                continue
+                if section != "OBJSENSE" or len(tokens) == 1:
+                    continue
+                tokens = tokens[1:]  # "OBJSENSE MAX" on one line
+            if headerish and tokens[0] in _UNSUPPORTED:
+                raise MpsError(f"unsupported section {tokens[0]!r}", lineno)
             if section is None:
                 raise MpsError("data before any section header", lineno)
+            if section == "NAME":
+                raise MpsError("data line in the NAME section", lineno)
             if section == "OBJSENSE":
                 sense = tokens[0].upper()
                 if sense not in ("MIN", "MINIMIZE"):
@@ -212,8 +225,6 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                     problem.col_upper[j] = val
                 else:
                     raise MpsError(f"unsupported bound type {btype!r}", lineno)
-            elif section == "NAME":
-                continue
             else:  # pragma: no cover
                 raise MpsError(f"unhandled section {section}", lineno)
 

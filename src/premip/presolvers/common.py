@@ -37,7 +37,9 @@ class PresolveView:
 
     changed_rows/changed_cols are None on the first call (everything is
     new); afterwards they contain the indices touched since this
-    presolver's previous call.
+    presolver's previous call.  The driver adds the rows and columns of
+    the presolver's own transactions that were discarded or canceled: the
+    journal need not list them, yet a full scan would find them again.
     """
     problem: Problem
     activities: RowActivities

@@ -1,5 +1,8 @@
 """Exhaustive presolvers; Probing, DomCol and Sparsify fan their iteration
 space out to forked workers when the instance is big enough to pay for it.
+ImplInt and Substitution scan only the changed rows after their first call,
+as the medium presolvers do; DomCol, DualInfer and Sparsify scan everything
+on every call.
 
 Each worker turns its chunk into transactions, so only transactions come
 back to the parent.  Probing propagates each branch on scratch overlays of
@@ -57,7 +60,7 @@ def run_implint(view: PresolveView) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
-    for i in p.active_rows():
+    for i in view.scan_rows():
         if not p.is_equation(i):
             continue
         entries = p.row_entries(i)
@@ -486,7 +489,7 @@ def run_substitution(view: PresolveView) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
-    for i in p.active_rows():
+    for i in view.scan_rows():
         if not p.is_equation(i):
             continue
         entries = p.row_entries(i)

@@ -1,10 +1,20 @@
-"""Medium presolvers: full scans bounded by O(N log N) style work."""
+"""Medium presolvers.
+
+A presolver's first call scans every active row or column.  Later calls
+scan only view.scan_rows() or view.scan_cols(): the rows and columns the
+change journal lists since its previous call, the rows of listed columns
+and the columns of listed rows, and the rows and columns of its own
+transactions that were not applied.  Each reduction reads one row or
+column and the entries, bounds, costs, activities and locks next to it;
+a change to any of those lists that row or column.  ParallelRows and
+ParallelCols rebuild only the support buckets of the lines they scan.
+"""
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
 from ..model import InfeasibleError, UnboundedError
-from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
+from ..numerics import (INF, NEG_INF, Number, bound_improves_lower,
                         bound_improves_upper, is_finite)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
@@ -22,7 +32,7 @@ def run_simpleprobing(view: PresolveView) -> List[Transaction]:
     ctx = view.ctx
     act = view.activities
     txs: List[Transaction] = []
-    for i in p.active_rows():
+    for i in view.scan_rows():
         if not p.is_equation(i):
             continue
         entries = p.row_entries(i)
@@ -75,10 +85,26 @@ def run_simpleprobing(view: PresolveView) -> List[Transaction]:
 # ParallelRows
 
 
-def _ratio_key(ctx, ratios):
-    if ctx.mode is Mode.RATIONAL:
-        return tuple(ratios)
-    return tuple(round(float(r), 9) for r in ratios)
+def _support_buckets(view: PresolveView, lines, cross, scan: List[int],
+                     min_len: int) -> Dict[tuple, List[int]]:
+    """Indices of lines (p.rows or p.cols) with at least min_len entries,
+    grouped by support, each bucket ascending.  A fresh call groups every
+    scanned line; a later call builds only the buckets of the scanned lines,
+    reading each from the cross index (p.cols or p.rows) at its support's
+    first entry, which every line of that support appears in."""
+    fresh = view.is_fresh()
+    buckets: Dict[tuple, List[int]] = {}
+    for i in scan:
+        support = tuple(sorted(lines[i]))
+        if len(support) < min_len:
+            continue
+        if fresh:
+            buckets.setdefault(support, []).append(i)
+        elif support not in buckets:
+            keys = lines[i].keys()
+            buckets[support] = sorted(k for k in cross[support[0]]
+                                      if lines[k].keys() == keys)
+    return buckets
 
 
 def run_parallelrows(view: PresolveView) -> List[Transaction]:
@@ -86,12 +112,7 @@ def run_parallelrows(view: PresolveView) -> List[Transaction]:
     surviving row whose sides are the intersection of the scaled sides."""
     p = view.problem
     ctx = view.ctx
-    buckets: Dict[tuple, List[int]] = {}
-    for i in p.active_rows():
-        entries = p.row_entries(i)
-        if len(entries) < 2:
-            continue
-        buckets.setdefault(tuple(j for j, _ in entries), []).append(i)
+    buckets = _support_buckets(view, p.rows, p.cols, view.scan_rows(), 2)
     txs: List[Transaction] = []
     for support, rows in sorted(buckets.items()):
         if len(rows) < 2:
@@ -156,12 +177,7 @@ def run_parallelcols(view: PresolveView) -> List[Transaction]:
     """Merge proportional columns (matrix and objective) into one variable."""
     p = view.problem
     ctx = view.ctx
-    buckets: Dict[tuple, List[int]] = {}
-    for j in p.active_cols():
-        entries = p.col_entries(j)
-        if not entries:
-            continue
-        buckets.setdefault(tuple(i for i, _ in entries), []).append(j)
+    buckets = _support_buckets(view, p.cols, p.rows, view.scan_cols(), 1)
     txs: List[Transaction] = []
     for support, cols in sorted(buckets.items()):
         if len(cols) < 2:
@@ -228,7 +244,7 @@ def run_stuffing(view: PresolveView) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
-    for i in p.active_rows():
+    for i in view.scan_rows():
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
         if is_finite(lhs) == is_finite(rhs):
             continue
@@ -307,7 +323,7 @@ def run_dualfix(view: PresolveView) -> List[Transaction]:
     act = view.activities
     locks = view.locks
     txs: List[Transaction] = []
-    for j in p.active_cols():
+    for j in view.scan_cols():
         if not p.cols[j]:
             continue  # empty columns belong to trivial presolve
         c = p.obj[j]
@@ -394,7 +410,7 @@ def run_fixcontinuous(view: PresolveView) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
-    for j in p.active_cols():
+    for j in view.scan_cols():
         if p.col_integral[j]:
             continue
         lo, up = p.col_lower[j], p.col_upper[j]
@@ -446,7 +462,7 @@ def run_simplifyineq(view: PresolveView) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
-    for i in p.active_rows():
+    for i in view.scan_rows():
         entries = p.row_entries(i)
         if len(entries) < 2 or p.is_equation(i):
             continue
@@ -530,7 +546,7 @@ def run_doubletoneq(view: PresolveView) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
-    for i in p.active_rows():
+    for i in view.scan_rows():
         if not p.is_equation(i):
             continue
         entries = p.row_entries(i)

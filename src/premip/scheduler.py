@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from .model import (ColState, InfeasibleError, ModelUpdate, Problem,
                     UnboundedError)
@@ -126,10 +126,10 @@ class _Driver:
         self.update = ModelUpdate(self.reduced, stats=self.window,
                                   record=self.record.entries)
         self.watermarks: Dict[str, Optional[int]] = {}
-        # rows and columns of trivial transactions that were not applied;
-        # the journal need not list them, so the next trivial scan adds them
-        self.trivial_retry_rows: Set[int] = set()
-        self.trivial_retry_cols: Set[int] = set()
+        # per presolver, the rows and columns of its transactions that were
+        # not applied; the journal need not list them, so its next view adds
+        # them to the changed sets
+        self.carry: Dict[str, Tuple[Set[int], Set[int]]] = {}
         self.workers = options.resolved_threads()
 
     # -- helpers ------------------------------------------------------------
@@ -140,26 +140,26 @@ class _Driver:
 
     def _make_view(self, name: str) -> PresolveView:
         mark = self.watermarks.get(name)
-        if mark is None:
-            view = PresolveView(self.update.problem, self.update.activities,
-                                self.update.locks, None, None,
-                                workers=self.workers)
-        else:
-            rows, cols = set(), set()
+        carried = self.carry.pop(name, None)
+        rows = cols = None
+        if mark is not None:
+            rows, cols = carried or (set(), set())
             for kind, idx in self.update.journal[mark:]:
                 (rows if kind == "row" else cols).add(idx)
-            view = PresolveView(self.update.problem, self.update.activities,
-                                self.update.locks, rows, cols,
-                                workers=self.workers)
         self.watermarks[name] = len(self.update.journal)
-        return view
+        return PresolveView(self.update.problem, self.update.activities,
+                            self.update.locks, rows, cols,
+                            workers=self.workers)
 
     def _close_window(self) -> None:
         self.stats.merge_changes(self.window)
         self.window = self.update.stats = RoundStats()
 
-    def _tally(self, txs: List[Transaction],
-               outcomes: List[ApplyOutcome]) -> None:
+    def _apply(self, txs: List[Transaction]) -> List[ApplyOutcome]:
+        """Validate and apply txs, count the outcomes, and carry the rows
+        and columns of each unapplied transaction forward to its presolver's
+        next view."""
+        outcomes = apply_all(self.update, txs, self.log)
         self.stats.tx_found += len(txs)
         for tx, o in zip(txs, outcomes):
             found = self.stats.presolver_found
@@ -168,10 +168,18 @@ class _Driver:
                 self.stats.tx_applied += 1
                 applied = self.stats.presolver_applied
                 applied[tx.presolver] = applied.get(tx.presolver, 0) + 1
-            elif o.status is TxStatus.DISCARDED:
+                continue
+            if o.status is TxStatus.DISCARDED:
                 self.stats.tx_discarded += 1
             else:
                 self.stats.tx_canceled += 1
+            rows, cols = self.carry.setdefault(tx.presolver, (set(), set()))
+            for step in tx.steps:
+                if step.row is not None:
+                    rows.add(step.row)
+                if step.col is not None:
+                    cols.add(step.col)
+        return outcomes
 
     def _trivial_fixpoint(self) -> None:
         """Apply trivial presolve until it finds nothing more.  After the
@@ -179,24 +187,10 @@ class _Driver:
         view, its own applied changes included."""
         for _ in range(100):
             self.update.flags.clear()
-            view = self._make_view(TRIVIAL)
-            if not view.is_fresh():
-                view.changed_rows |= self.trivial_retry_rows
-                view.changed_cols |= self.trivial_retry_cols
-            self.trivial_retry_rows.clear()
-            self.trivial_retry_cols.clear()
-            txs = run_trivial(view)
+            txs = run_trivial(self._make_view(TRIVIAL))
             if not txs:
                 return
-            outcomes = apply_all(self.update, txs, self.log)
-            self._tally(txs, outcomes)
-            for tx, o in zip(txs, outcomes):
-                if o.status is not TxStatus.APPLIED:
-                    for step in tx.steps:
-                        if step.row is not None:
-                            self.trivial_retry_rows.add(step.row)
-                        if step.col is not None:
-                            self.trivial_retry_cols.add(step.col)
+            outcomes = self._apply(txs)
             if not any(o.status is TxStatus.APPLIED for o in outcomes):
                 return
 
@@ -273,8 +267,7 @@ class _Driver:
             if txs:
                 self._line(3, f"presolver {desc.name} found {len(txs)}")
             collected.extend(txs)
-        outcomes = apply_all(self.update, collected, self.log)
-        self._tally(collected, outcomes)
+        self._apply(collected)
 
 
 def presolve(problem: Problem, options: Optional[PresolveOptions] = None,

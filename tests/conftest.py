@@ -266,6 +266,80 @@ def random_mixed_mip(rng: random.Random, ctx=None) -> Problem:
     return p
 
 
+def late_structure_mip(rng: random.Random, ctx=None) -> Problem:
+    """Parallel rows, parallel columns, Stuffing candidates and two-entry
+    equations that appear only after earlier reductions.
+
+    Each gadget hides its structure behind a mask: a continuous column with
+    positive cost that only loosens one <= row, which DualFix fixes at 0 in
+    the first medium round, or a pair of parallel columns in an equation,
+    which ParallelCols merges.  Row sides hold at a hidden integral point.
+    """
+    ctx = ctx or NumericContext.float64()
+    p = Problem(ctx)
+    nx = rng.randint(4, 8)
+    anchor = []
+    for _ in range(nx):
+        up = rng.randint(1, 3)
+        p.add_col(0, up, rng.randint(-3, 3), integral=True)
+        anchor.append(rng.randint(0, up))
+
+    def terms(k):
+        return {j: rng.choice([-2, -1, 1, 2]) for j in rng.sample(range(nx), k)}
+
+    def at_anchor(entries):
+        return sum(a * anchor[j] for j, a in entries.items() if j < nx)
+
+    def max_act(entries):
+        return sum(max(a * p.col_lower[j], a * p.col_upper[j])
+                   for j, a in entries.items())
+
+    def mask(row):
+        row[p.add_col(0, 5, rng.randint(1, 3), integral=False)] = 1
+        return row
+
+    # one range row over every base column gives each both locks
+    every = {j: 1 for j in range(nx)}
+    p.add_row(every, at_anchor(every) - 1, at_anchor(every) + 1)
+    for _ in range(rng.randint(1, 3)):
+        # rows that are parallel once their masks are fixed
+        base, s = terms(3), rng.choice([2, 3])
+        rhs = at_anchor(base) + rng.randint(0, 1)
+        p.add_row(mask(dict(base)), NEG_INF, rhs)
+        p.add_row(mask({j: s * a for j, a in base.items()}), NEG_INF,
+                  s * rhs + rng.randint(0, s - 1))
+    for _ in range(rng.randint(1, 2)):
+        # columns whose supports agree once a masked singleton row goes
+        s, c = rng.choice([2, 3]), rng.randint(-2, 2)
+        y1 = p.add_col(0, 4, c, integral=False)
+        y2 = p.add_col(0, 4, s * c, integral=False)
+        for lhs_side in (False, True):
+            row = terms(2)
+            a = rng.choice([1, 2])
+            row[y1], row[y2] = a, s * a
+            mid = at_anchor(row) + a * (1 + s)  # y1 = y2 = 1
+            p.add_row(row, mid - 1 if lhs_side else NEG_INF,
+                      INF if lhs_side else mid + 1)
+        p.add_row(mask({y1: 1}), NEG_INF, 5)
+    for _ in range(rng.randint(1, 2)):
+        # z1 becomes a singleton that Stuffing can push to its upper bound
+        base = terms(2)
+        z1 = p.add_col(0, 3, -3, integral=False)
+        z2 = p.add_col(0, 4, -1, integral=False)
+        p.add_row({**base, z1: 1, z2: 1}, NEG_INF, max_act(base) + 5)
+        p.add_row(mask({z1: 1}), NEG_INF, 4)
+    for _ in range(rng.randint(1, 2)):
+        # an equation that keeps two entries once y2 merges into y1
+        j, k = rng.sample(range(nx), 2)
+        c = rng.randint(-2, 2)
+        y1 = p.add_col(0, 4, c, integral=False)
+        y2 = p.add_col(0, 4, 2 * c, integral=False)
+        a = rng.choice([-2, -1, 1, 2])
+        p.add_row({j: a, y1: 1, y2: 2}, a * anchor[j] + 3, a * anchor[j] + 3)
+        p.add_row({k: 1, y1: 1, y2: 2}, NEG_INF, anchor[k] + 3 + rng.randint(0, 2))
+    return p
+
+
 def random_medium_mip(rng: random.Random, ncols: int, nrows: int,
                       ctx=None, continuous_share: float = 0.3) -> Problem:
     """Sparse random instance for determinism/scaling runs; sides are

@@ -268,6 +268,42 @@ class TestReaderErrors:
         with pytest.raises(MpsError, match="^file ends before ENDATA$"):
             read_mps(write_tmp(tmp_path, ""), CTX)
 
+    @pytest.mark.parametrize("header", [
+        "SOS", "QUADOBJ", "QMATRIX", "QSECTION", "QCMATRIX R1", "CSECTION C1",
+        "INDICATORS", "LAZYCONS", "USERCUTS", "GENCONS"])
+    def test_unsupported_section(self, tmp_path, header):
+        text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X OBJ 1 R1 2\n"
+                f"RHS\n RHS R1 4\nBOUNDS\n{header}\n S1 X 1\nENDATA\n")
+        with pytest.raises(MpsError) as err:
+            read_mps(write_tmp(tmp_path, text), CTX)
+        name = header.split()[0]
+        assert str(err.value) == f"line 10: unsupported section {name!r}"
+
+    def test_data_line_under_name(self, tmp_path):
+        text = ("NAME t\nFOO BAR\nROWS\n N OBJ\n L R1\nCOLUMNS\n X R1 1\n"
+                "RHS\nENDATA\n")
+        with pytest.raises(MpsError) as err:
+            read_mps(write_tmp(tmp_path, text), CTX)
+        assert err.value.line == 2
+
+    def test_free_format_data_in_column_one(self, tmp_path):
+        text = ("NAME t\nROWS\nN OBJ\nL R1\nCOLUMNS\nX OBJ -1 R1 2\n"
+                "RHS\nRHS R1 4\nBOUNDS\nUP BND X 3\nENDATA\n")
+        p = read_mps(write_tmp(tmp_path, text), CTX)
+        assert p.rows[0] == {0: 2} and p.obj[0] == -1
+        assert (p.row_rhs[0], p.col_upper[0]) == (4, 3)
+
+    @pytest.mark.parametrize("sense", ["MIN", "MAX"])
+    def test_objective_sense_on_the_header_line(self, tmp_path, sense):
+        text = "NAME t\nOBJSENSE " + sense + "\nROWS\n N OBJ\nENDATA\n"
+        path = write_tmp(tmp_path, text)
+        if sense == "MIN":
+            assert read_mps(path, CTX).ncols == 0
+        else:
+            with pytest.raises(MpsError, match="^line 2: unsupported "
+                                                "objective sense MAX$"):
+                read_mps(path, CTX)
+
 
 def problems_equivalent(a: Problem, b: Problem) -> bool:
     """Equality of the active parts up to row/column order (by name)."""

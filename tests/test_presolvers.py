@@ -10,9 +10,10 @@ from premip.presolvers import (PRESOLVER_NAMES, PresolveView, REGISTRY,
                                Tier, run_trivial, runner)
 from premip.transactions import StepKind, TxStatus
 
-from conftest import (brute_force, brute_force_mixed, make_problem,
-                      presolver_soundness_check, random_mixed_mip,
-                      random_small_mip, run_one_presolver)
+from conftest import (brute_force, brute_force_mixed, late_structure_mip,
+                      make_problem, presolver_soundness_check,
+                      random_medium_mip, random_mixed_mip, random_small_mip,
+                      run_one_presolver)
 
 CTX = NumericContext.float64()
 
@@ -768,6 +769,21 @@ class TestFastTierLocality:
                 assert runner(name)(view) == []
             except (InfeasibleError, UnboundedError):
                 pass
+
+    @pytest.mark.parametrize("name", [
+        "simpleprobing", "parallelrows", "parallelcols", "stuffing",
+        "dualfix", "fixcontinuous", "simplifyineq", "doubletoneq", "implint",
+        "substitution"])
+    def test_empty_changed_set_finds_nothing_beyond_fast_tier(self, name):
+        for seed in range(10):
+            for p in (random_small_mip(random.Random(seed)),
+                      random_mixed_mip(random.Random(seed)),
+                      late_structure_mip(random.Random(seed)),
+                      random_medium_mip(random.Random(seed), 60, 48)):
+                upd = ModelUpdate(p)
+                view = PresolveView(upd.problem, upd.activities, upd.locks,
+                                    changed_rows=set(), changed_cols=set())
+                assert runner(name)(view) == []
 
 
 class TestPurity:

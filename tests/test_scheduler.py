@@ -11,8 +11,9 @@ from premip.presolvers import REGISTRY, PresolveView
 from premip.scheduler import RoundStats, enough_reductions
 from premip.transactions import ApplyOutcome, TxStatus
 
-from conftest import (brute_force, make_problem, random_medium_mip,
-                      random_mixed_mip, random_small_mip, to_rational)
+from conftest import (brute_force, late_structure_mip, make_problem,
+                      random_medium_mip, random_mixed_mip, random_small_mip,
+                      to_rational)
 
 CTX = NumericContext.float64()
 
@@ -261,16 +262,22 @@ class TestInterplayFullRun:
         assert res.stats.tx_discarded == 0
 
 
+def _outcome(fn, view):
+    """The transactions fn finds on view, or the error it raises."""
+    try:
+        return repr(fn(view))
+    except (InfeasibleError, UnboundedError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _full_view(view):
+    return PresolveView(view.problem, view.activities, view.locks,
+                        workers=view.workers)
+
+
 class TestIncrementalTrivial:
     """A journal-driven trivial scan returns exactly what a full scan of the
     same state returns, including the error it raises."""
-
-    @staticmethod
-    def _outcome(fn, view):
-        try:
-            return repr(fn(view))
-        except (InfeasibleError, UnboundedError) as exc:
-            return f"{type(exc).__name__}: {exc}"
 
     @pytest.mark.parametrize("rational", [False, True])
     def test_matches_full_scan(self, monkeypatch, rational):
@@ -279,9 +286,8 @@ class TestIncrementalTrivial:
 
         def checked(view):
             if not view.is_fresh():
-                full = PresolveView(view.problem, view.activities, view.locks)
-                assert self._outcome(original, view) == \
-                    self._outcome(original, full)
+                assert _outcome(original, view) == \
+                    _outcome(original, _full_view(view))
                 incremental.append(view)
             return original(view)
 
@@ -324,3 +330,64 @@ class TestIncrementalTrivial:
         assert len(dropped) == 1
         assert not res.problem.col_is_active(2)
         assert res.problem.col_lower[2] == 0
+
+
+JOURNAL_DRIVEN = ("simpleprobing", "parallelrows", "parallelcols", "stuffing",
+                  "dualfix", "fixcontinuous", "simplifyineq", "doubletoneq",
+                  "implint", "substitution")
+
+
+class TestJournalDrivenScans:
+    """At every call after its first, a medium or exhaustive presolver that
+    scans only the journal's changed rows and columns (plus the carried
+    forward rows and columns of its unapplied transactions) finds exactly
+    what a full scan of the same state finds."""
+
+    def _run_checked(self, monkeypatch, corpus, rational):
+        original = sched.runner
+        calls, found = {}, {}
+
+        def checking(name):
+            fn = original(name)
+            if name not in JOURNAL_DRIVEN:
+                return fn
+
+            def run(view):
+                if not view.is_fresh():
+                    got = _outcome(fn, view)
+                    assert got == _outcome(fn, _full_view(view)), name
+                    calls[name] = calls.get(name, 0) + 1
+                    found[name] = found.get(name, 0) + got.count("Transaction(")
+                return fn(view)
+            return run
+
+        monkeypatch.setattr(sched, "runner", checking)
+        for k, p in enumerate(corpus):
+            if rational:
+                p = to_rational(p)
+            presolve(p, PresolveOptions())
+            if k % 3 == 0:
+                presolve_sequential_immediate(p, PresolveOptions())
+        assert set(calls) == set(JOURNAL_DRIVEN)
+        return found
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_random_corpus_matches_full_scan(self, monkeypatch, rational):
+        corpus = []
+        for seed in range(30):
+            corpus.append(random_small_mip(random.Random(seed)))
+            corpus.append(random_mixed_mip(random.Random(seed)))
+        for seed in range(4):
+            rng = random.Random(700 + seed)
+            nc = rng.choice([60, 120, 250])
+            corpus.append(random_medium_mip(rng, nc, int(nc * 0.8)))
+        self._run_checked(monkeypatch, corpus, rational)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_late_structure_matches_full_scan(self, monkeypatch, rational):
+        corpus = [late_structure_mip(random.Random(seed)) for seed in range(30)]
+        found = self._run_checked(monkeypatch, corpus, rational)
+        # the structure each gadget hides is found by a later call
+        for name in ("parallelrows", "parallelcols", "stuffing",
+                     "doubletoneq"):
+            assert found.get(name, 0) > 0, name
