@@ -3,10 +3,12 @@
 Both fixed- and free-format MPS are handled by whitespace tokenization
 (names therefore must not contain blanks).  Supported sections: NAME,
 OBJSENSE (minimization only), ROWS, COLUMNS with INTORG/INTEND markers,
-RHS, RANGES, BOUNDS, ENDATA.  A NaN literal, an infinite coefficient or
-objective value, a header of another standard section (SOS, QUADOBJ, ...),
-a data line under NAME and a file that ends before ENDATA raise MpsError
-with the line number.  Free-format data lines may start in column 1.
+RHS, RANGES, BOUNDS, ENDATA.  A bad or NaN literal, an infinite
+coefficient or objective value, a repeated COLUMNS entry (objective
+included), a header of another standard section (SOS, QUADOBJ, ...), a data
+line under NAME and a file that ends before ENDATA raise MpsError with the
+line number; so do a bad or NaN literal and a repeated column name in a
+solution file.  Free-format data lines may start in column 1.
 Integral columns without BOUNDS entries get the modern default [0, +inf);
 pass legacy_integer_bounds=True for the historical [0, 1] default.
 """
@@ -32,6 +34,20 @@ _UNSUPPORTED = {"SOS", "QUADOBJ", "QMATRIX", "QSECTION", "QCMATRIX",
                 "CSECTION", "INDICATORS", "LAZYCONS", "USERCUTS", "GENCONS"}
 
 
+def _parse_number(ctx: NumericContext, tok: str, lineno: int) -> Number:
+    """A numeric literal; MpsError at lineno for a bad or NaN one."""
+    try:
+        val = ctx.parse(tok)
+    except (ValueError, ArithmeticError):
+        # Decimal spells NaN "nan" or "snan", signed or not
+        if tok.lstrip("+-").lower() in ("nan", "snan"):
+            raise MpsError(f"NaN literal {tok!r}", lineno)
+        raise MpsError(f"bad numeric literal {tok!r}", lineno)
+    if val != val:
+        raise MpsError(f"NaN literal {tok!r}", lineno)
+    return val
+
+
 def read_mps(path: str, ctx: Optional[NumericContext] = None,
              legacy_integer_bounds: bool = False,
              warnings: Optional[List[str]] = None) -> Problem:
@@ -43,6 +59,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
     row_sense: Dict[str, str] = {}
     col_index: Dict[str, int] = {}
     col_entries: Dict[int, Dict[int, Number]] = {}
+    obj_cols: set = set()
     rhs_by_row: Dict[int, Number] = {}
     range_by_row: Dict[int, Number] = {}
     obj_row: Optional[str] = None
@@ -50,15 +67,6 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
     explicit_lower: set = set()
     row_order: List[str] = []
     section = None
-
-    def parse_num(tok: str, lineno: int) -> Number:
-        try:
-            val = ctx.parse(tok)
-        except (ValueError, ArithmeticError):
-            raise MpsError(f"bad numeric literal {tok!r}", lineno)
-        if val != val:
-            raise MpsError(f"NaN literal {tok!r}", lineno)
-        return val
 
     def get_col(name: str, lineno: int) -> int:
         if name not in col_index:
@@ -139,11 +147,17 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                     col_entries[col_index[cname]] = {}
                 j = col_index[cname]
                 for pos in range(1, len(tokens), 2):
-                    rname, val = tokens[pos], parse_num(tokens[pos + 1], lineno)
+                    rname = tokens[pos]
+                    val = _parse_number(ctx, tokens[pos + 1], lineno)
                     if not is_finite(val):
                         raise MpsError(f"infinite value {tokens[pos + 1]!r} "
                                        f"for column {cname!r}", lineno)
                     if rname == obj_row:
+                        if j in obj_cols:
+                            raise MpsError(
+                                f"duplicate entry for column {cname!r} in "
+                                f"row {rname!r}", lineno)
+                        obj_cols.add(j)
                         problem.obj[j] = val
                         continue
                     i = get_row(rname, lineno)
@@ -158,7 +172,8 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                 if len(tokens) not in (3, 5):
                     raise MpsError("RHS line needs set/row/value pairs", lineno)
                 for pos in range(1, len(tokens), 2):
-                    rname, val = tokens[pos], parse_num(tokens[pos + 1], lineno)
+                    rname = tokens[pos]
+                    val = _parse_number(ctx, tokens[pos + 1], lineno)
                     if rname == obj_row:
                         problem.obj_offset = -val
                         continue
@@ -169,7 +184,8 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                     raise MpsError("RANGES line needs set/row/value pairs",
                                    lineno)
                 for pos in range(1, len(tokens), 2):
-                    rname, val = tokens[pos], parse_num(tokens[pos + 1], lineno)
+                    rname = tokens[pos]
+                    val = _parse_number(ctx, tokens[pos + 1], lineno)
                     if rname == obj_row:
                         raise MpsError("range on the objective row", lineno)
                     i = get_row(rname, lineno)
@@ -188,7 +204,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                             f"{btype} bound needs <set> <column> <value>",
                             lineno)
                     j = get_col(tokens[2], lineno)
-                    val = parse_num(tokens[3], lineno)
+                    val = _parse_number(ctx, tokens[3], lineno)
                 if btype == "LO":
                     problem.col_lower[j] = val
                     explicit_lower.add(j)
@@ -380,10 +396,13 @@ def read_sol(path: str, ctx: NumericContext
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
                 continue
-            if tokens[0] == "=obj=":
-                objective = ctx.parse(tokens[1])
-                continue
             if len(tokens) != 2:
                 raise MpsError("solution line needs <name> <value>", lineno)
-            values[tokens[0]] = ctx.parse(tokens[1])
+            name, value = tokens[0], _parse_number(ctx, tokens[1], lineno)
+            if name == "=obj=":
+                objective = value
+            elif name in values:
+                raise MpsError(f"second value for column {name!r}", lineno)
+            else:
+                values[name] = value
     return values, objective

@@ -121,8 +121,10 @@ class NumericContext:
 
     def feas_leq(self, a: Number, b: Number) -> bool:
         """a <= b up to the feasibility tolerance (relative)."""
+        if a <= b:  # holds with any tolerance
+            return True
         if self.feastol == 0:
-            return a <= b
+            return False
         if a == NEG_INF or b == INF:
             return True
         if a == INF or b == NEG_INF:
@@ -161,11 +163,15 @@ class NumericContext:
         """Round an upper bound inward for an integral column."""
         if not is_finite(v):
             return v
+        if self.feastol == 0:  # exact: no Fraction addition
+            return self._from_int(math.floor(v))
         return self._from_int(math.floor(v + self.feastol))
 
     def round_up_bound(self, v: Number) -> Number:
         if not is_finite(v):
             return v
+        if self.feastol == 0:
+            return self._from_int(math.ceil(v))
         return self._from_int(math.ceil(v - self.feastol))
 
     def _from_int(self, v: int) -> Number:

@@ -8,6 +8,7 @@ overhead would dominate.
 """
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import sys
 from typing import Callable, List, Sequence, TypeVar
@@ -32,8 +33,15 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
     if workers <= 1 or len(items) <= 1 or not fork_available():
         return [fn(it) for it in items]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(items))) as pool:
-        return pool.map(fn, items, chunksize=1)
+    # a full collection in a child would write to the header of every
+    # inherited object and so copy the parent's heap page by page; frozen
+    # objects are never collected
+    gc.freeze()
+    try:
+        with ctx.Pool(min(workers, len(items))) as pool:
+            return pool.map(fn, items, chunksize=1)
+    finally:
+        gc.unfreeze()
 
 
 def chunk_evenly(items: Sequence[T], parts: int) -> List[List[T]]:

@@ -103,6 +103,9 @@ def integral_coeffs(ctx: NumericContext,
 def coeff_gcd(ctx: NumericContext, values: List[Number]) -> Number:
     """gcd of coefficient magnitudes; exact for rationals, snapped floats."""
     if ctx.mode is Mode.RATIONAL:
+        if all(isinstance(v, Fraction) and v.denominator == 1
+               for v in values):
+            return Fraction(math.gcd(*(v.numerator for v in values)))
         g = Fraction(0)
         for v in values:
             g = rational_gcd(g, Fraction(v))
@@ -113,18 +116,33 @@ def coeff_gcd(ctx: NumericContext, values: List[Number]) -> Number:
     return float(g)
 
 
+def finite_side(v: Number) -> Optional[Number]:
+    """A row side as the bound kernel takes it: None if infinite."""
+    return v if is_finite(v) else None
+
+
 def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
-                   lo: Number, up: Number, lhs: Number, rhs: Number,
+                   lo: Number, up: Number, lhs: Optional[Number],
+                   rhs: Optional[Number],
                    integral: bool) -> Tuple[Number, Number]:
     """(lower, upper) bound on one column implied by one row.
 
     `state` is the row's (min_sum, max_sum, n_min_inf, n_max_inf): from
     `RowActivities.snapshot`, probing's scratch overlay or DualInfer's dual
     rows.  (lo, up) are the bounds of the entry's column that the state was
-    built with, and `a` is its coefficient.
+    built with, and `a` is its coefficient.  An infinite side is passed as
+    None (see `finite_side`): callers decide that once per row, and the
+    kernel never compares a side with an infinity.
     The residuals are those of `RowActivities.min_residual`/`max_residual`.
     Integral columns get their bounds rounded inward; a side that implies
     nothing gives NEG_INF/INF.
+
+    `tightening_sides` tells before the call that a side cannot tighten
+    the entry; callers in float64 mode pass such a side as None.  Its
+    margin, 1e-9 of the magnitudes of the side, the sum and the entry's
+    shares, is far above the few ulps (about 1e-16 of those magnitudes) by
+    which this kernel's residual, difference and quotient round, so the
+    rounded cap of a dropped side could not have improved the bound.
 
     Some bound arithmetic stays outside this kernel on purpose:
     - trivial presolve's singleton rows and DoubletonEq compute from sides
@@ -140,7 +158,7 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
     min_sum, max_sum, n_min_inf, n_max_inf = state
     positive = a > 0  # compared once: slow for a Fraction
     lower, upper = NEG_INF, INF
-    if is_finite(rhs):
+    if rhs is not None:
         # minimum activity without this entry, whose share is a*lo or a*up;
         # None when another entry's share is infinite
         low = lo if positive else up
@@ -154,7 +172,7 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
                 upper = ctx.round_down_bound(cap) if integral else cap
             else:
                 lower = ctx.round_up_bound(cap) if integral else cap
-    if is_finite(lhs):
+    if lhs is not None:
         high = up if positive else lo
         if is_finite(high):
             res = max_sum - a * high if n_max_inf <= 0 else None
@@ -167,3 +185,50 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
             else:
                 upper = ctx.round_down_bound(cap) if integral else cap
     return lower, upper
+
+
+# relative size of the safety margin of the slack test in float64
+GATE_RTOL = 1e-9
+
+
+def tightening_sides(state: Sequence, a: Number, lo: Number, up: Number,
+                     lhs: Optional[Number], rhs: Optional[Number],
+                     integral: bool, rtol: Number
+                     ) -> Tuple[Optional[Number], Optional[Number]]:
+    """(lhs, rhs) with each side that cannot tighten the entry's bounds
+    through `implied_bounds` replaced by None: the slack test run in front
+    of the kernel.  The arguments are the kernel's, and rtol is GATE_RTOL
+    in float64 and 0 (an exact test) for rationals.
+
+    A side cannot tighten the entry when it is None, when the row's
+    infinity count for it is 2 or more, when that count is 1 and this
+    entry's share is finite, or when the count is 0 and the entry's whole
+    range fits in the row's slack: |a|*(up-lo) + tol < slack, with slack
+    rhs - min_sum or max_sum - lhs and
+    tol = rtol*(|side| + |sum| + |a|*(|lo|+|up|)).  The kernel's cap is
+    then beyond up (lo), so its bound from that side is not strictly
+    tighter.  In float64 the kernel's residual, difference and quotient
+    round by a few ulps of those magnitudes, about 1e-16 of them and far
+    below tol, so the rounded cap stays on the non-improving side too.
+    The slack test is left out for an integral column with a non-integral
+    bound, which inward rounding could tighten, and any comparison with an
+    infinity or NaN in it is false, so the side stays.
+    """
+    min_sum, max_sum, n_min_inf, n_max_inf = state
+    mag = a if a > 0 else -a
+    need = mag * (up - lo + rtol * (abs(lo) + abs(up)))
+    if integral and (lo % 1 or up % 1):  # NaN for an infinite bound
+        need = INF
+    if rhs is not None:
+        if n_min_inf:
+            if n_min_inf > 1 or is_finite(lo if a > 0 else up):
+                rhs = None
+        elif need + rtol * (abs(rhs) + abs(min_sum)) < rhs - min_sum:
+            rhs = None
+    if lhs is not None:
+        if n_max_inf:
+            if n_max_inf > 1 or is_finite(up if a > 0 else lo):
+                lhs = None
+        elif need + rtol * (abs(lhs) + abs(max_sum)) < max_sum - lhs:
+            lhs = None
+    return lhs, rhs

@@ -5,20 +5,29 @@ as the medium presolvers do; DomCol, DualInfer and Sparsify scan everything
 on every call.
 
 Each worker turns its chunk into transactions, so only transactions come
-back to the parent.  Probing propagates each branch on scratch overlays of
-the bounds and row activities; the sorted entries of the rows it reads are
-kept for one call only."""
+back to the parent.
+
+Probing copies the column bounds once per call into a workspace of two
+arrays, which forked workers inherit.  A branch writes its bounds there,
+lists the columns it changed and puts their bounds back when it ends,
+infeasible exits included; the row activities it moves live in scratch
+copies of the rows it touches.  The sorted entries and resolved sides of
+the rows it reads are kept for the call.  In float64 the slack test
+`tightening_sides` runs in front of each kernel call; with Fractions the
+test costs more than the kernel calls it saves, so rational mode runs
+without it."""
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
 from ..model import InfeasibleError
-from ..numerics import (INF, NEG_INF, Number, bound_improves_lower,
+from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
                         bound_improves_upper, is_finite)
 from ..parallel import chunk_evenly, fork_map
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import PresolveView, implied_bounds
+from .common import (GATE_RTOL, PresolveView, finite_side, implied_bounds,
+                     tightening_sides)
 
 # work-size gates below which forking is not worth the overhead
 PROBING_PARALLEL_MIN_CANDIDATES = 192
@@ -26,11 +35,14 @@ PROBING_PARALLEL_MIN_NNZ = 2000
 DOMCOL_PARALLEL_MIN_GROUPS = 512
 SPARSIFY_PARALLEL_MIN_EQS = 512
 
-# the view of the presolver whose chunks run, and the sorted entries of the
-# rows its chunks have read so far; forked workers inherit both, and both
-# are cleared when the call ends
+# the view of the presolver whose chunks run; for probing, the sorted
+# entries and resolved sides of the rows its chunks have read so far, and
+# its workspace of column bounds.  Forked workers inherit all three, and
+# all three are cleared when the call ends.
 _VIEW: Optional[PresolveView] = None
-_SORTED_ROWS: Dict[int, List[Tuple[int, Number]]] = {}
+_SORTED_ROWS: Dict[int, Tuple[List[Tuple[int, Number]], Optional[Number],
+                              Optional[Number]]] = {}
+_BOUNDS: Optional[Tuple[List[Number], List[Number]]] = None
 
 
 def _fan_out(view: PresolveView, chunk_fn, items: list,
@@ -38,7 +50,7 @@ def _fan_out(view: PresolveView, chunk_fn, items: list,
     """chunk_fn's results over items, in item order.  Forks view.workers
     processes over contiguous chunks when big_enough, else runs in-process;
     chunk_fn reads the view from _VIEW."""
-    global _VIEW
+    global _VIEW, _BOUNDS
     _VIEW = view
     try:
         if view.workers > 1 and big_enough:
@@ -48,6 +60,7 @@ def _fan_out(view: PresolveView, chunk_fn, items: list,
         return chunk_fn(items)
     finally:
         _VIEW = None
+        _BOUNDS = None
         _SORTED_ROWS.clear()
 
 
@@ -196,7 +209,8 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
         cl, cu = p.col_lower[j], p.col_upper[j]
         for i, a in entries:
             lo_r, up_r = implied_bounds(ctx, act.snapshot(i), a, cl, cu,
-                                        p.row_lhs[i], p.row_rhs[i], False)
+                                        finite_side(p.row_lhs[i]),
+                                        finite_side(p.row_rhs[i]), False)
             il = max(il, lo_r)
             iu = min(iu, up_r)
         free_below = (not is_finite(p.col_lower[j])) or (
@@ -248,8 +262,8 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
             if rel in ("E", "G") and is_finite(mx) and not ctx.feas_leq(c, mx):
                 return []
             # the dual row sum a*y is <= c for "L", >= c for "G"
-            lhs = c if rel in ("E", "G") else NEG_INF
-            rhs = c if rel in ("E", "L") else INF
+            lhs = c if rel in ("E", "G") else None
+            rhs = c if rel in ("E", "L") else None
             for i, a in entries:
                 lo, up = ylb[i], yub[i]
                 lower, upper = implied_bounds(ctx, (mn, mx, n_mn, n_mx), a,
@@ -299,17 +313,35 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
 # Probing
 
 
-def _probe_propagate(view: PresolveView, rows: Dict[int, list], k: int,
-                     val: int):
-    """Fix binary k to val and run up to two propagation passes on scratch
-    bound/activity overlays.  Returns {col: (lo, up)} or None if infeasible.
-    rows caches the sorted entries of the rows read, keyed by row."""
+def _cache_row(rows: Dict[int, tuple], p, i: int) -> tuple:
+    """Row i's sorted entries and its sides, an infinite one as None."""
+    row = rows[i] = (p.row_entries(i), finite_side(p.row_lhs[i]),
+                     finite_side(p.row_rhs[i]))
+    return row
+
+
+def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
+                     val: int, ws: Optional[tuple] = None):
+    """Fix binary k to val and run up to two propagation passes on the
+    workspace and on scratch copies of the row activities.  Returns
+    {col: (lo, up)} for the columns whose bounds moved, or None if
+    infeasible.
+
+    ws is the workspace (lower, upper), copies of the column bounds (a
+    fresh copy if None).  The branch writes its bounds there and lists the
+    columns it changed; on the way out, infeasible exits included, those
+    columns get their bounds back, so ws equals the problem's bounds again.
+    rows caches, per row read, its sorted entries and its sides with an
+    infinite side as None."""
     p = view.problem
     ctx = view.ctx
     act = view.activities
     col_lower, col_upper, cols = p.col_lower, p.col_upper, p.cols
-    row_lhs, row_rhs, integral = p.row_lhs, p.row_rhs, p.col_integral
-    bounds: Dict[int, Tuple[Number, Number]] = {}
+    integral = p.col_integral
+    lower, upper = ws if ws is not None else (list(col_lower),
+                                              list(col_upper))
+    gate = ctx.mode is Mode.FLOAT64
+    changed: List[int] = []
     rowstate: Dict[int, list] = {}
 
     def set_bounds(j, lo, up, new_lo, new_up):
@@ -318,6 +350,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, list], k: int,
         added, slot by slot."""
         lo_fin, up_fin = is_finite(lo), is_finite(up)
         new_lo_fin, new_up_fin = is_finite(new_lo), is_finite(new_up)
+        all_fin = lo_fin and up_fin and new_lo_fin and new_up_fin
         # change of the count of infinite lower/upper bounds
         d_lo = (not new_lo_fin) - (not lo_fin)
         d_up = (not new_up_fin) - (not up_fin)
@@ -325,7 +358,14 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, list], k: int,
             st = rowstate.get(i)
             if st is None:
                 st = rowstate[i] = list(act.snapshot(i))
-            if a > 0:
+            if all_fin:  # the common case, the same arithmetic
+                if a > 0:
+                    st[0] = st[0] - a * lo + a * new_lo
+                    st[1] = st[1] - a * up + a * new_up
+                else:
+                    st[0] = st[0] - a * up + a * new_up
+                    st[1] = st[1] - a * lo + a * new_lo
+            elif a > 0:
                 if lo_fin:
                     st[0] -= a * lo
                 if new_lo_fin:
@@ -347,54 +387,65 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, list], k: int,
                     st[1] += a * new_lo
                 st[2] += d_up
                 st[3] += d_lo
-        bounds[j] = (new_lo, new_up)
+        lower[j] = new_lo
+        upper[j] = new_up
+        changed.append(j)
 
-    v = ctx.number(val)
-    if v != col_lower[k] or v != col_upper[k]:
-        set_bounds(k, col_lower[k], col_upper[k], v, v)
-    affected = set(cols[k])
-    for _ in range(2):
-        next_affected = set()
-        for i in sorted(affected):
-            st = rowstate.get(i)
-            if st is None:
-                st = rowstate[i] = list(act.snapshot(i))
-            min_eff = NEG_INF if st[2] else st[0]
-            max_eff = INF if st[3] else st[1]
-            lhs, rhs = row_lhs[i], row_rhs[i]
-            if is_finite(rhs) and not ctx.feas_leq(min_eff, rhs):
-                return None
-            if is_finite(lhs) and not ctx.feas_leq(lhs, max_eff):
-                return None
-            entries = rows.get(i)
-            if entries is None:
-                entries = rows[i] = p.row_entries(i)
-            for j, a in entries:
-                b = bounds.get(j)
-                lo, up = (col_lower[j], col_upper[j]) if b is None else b
-                if lo == up:
-                    continue
-                lower, upper = implied_bounds(ctx, st, a, lo, up, lhs, rhs,
-                                              integral[j])
-                new_lo = lower if lower is not NEG_INF and lower > lo else lo
-                new_up = upper if upper is not INF and upper < up else up
-                if new_lo > new_up and not ctx.feas_leq(new_lo, new_up):
+    try:
+        v = ctx.number(val)
+        if v != lower[k] or v != upper[k]:
+            set_bounds(k, lower[k], upper[k], v, v)
+        affected = set(cols[k])
+        for _ in range(2):
+            next_affected = set()
+            for i in sorted(affected):
+                st = rowstate.get(i)
+                if st is None:
+                    st = rowstate[i] = list(act.snapshot(i))
+                entries, lhs, rhs = rows.get(i) or _cache_row(rows, p, i)
+                if rhs is not None and not ctx.feas_leq(
+                        NEG_INF if st[2] else st[0], rhs):
                     return None
-                if new_lo is not lo or new_up is not up:
-                    set_bounds(j, lo, up, new_lo, new_up)
-                    next_affected.update(cols[j])
-        affected = next_affected
-        if not affected:
-            break
-    for i in rowstate:
-        st = rowstate[i]
-        min_eff = NEG_INF if st[2] else st[0]
-        max_eff = INF if st[3] else st[1]
-        if is_finite(row_rhs[i]) and not ctx.feas_leq(min_eff, row_rhs[i]):
-            return None
-        if is_finite(row_lhs[i]) and not ctx.feas_leq(row_lhs[i], max_eff):
-            return None
-    return bounds
+                if lhs is not None and not ctx.feas_leq(
+                        lhs, INF if st[3] else st[1]):
+                    return None
+                for j, a in entries:
+                    lo, up = lower[j], upper[j]
+                    if lo == up:
+                        continue
+                    lhs_j, rhs_j = lhs, rhs
+                    if gate:
+                        lhs_j, rhs_j = tightening_sides(
+                            st, a, lo, up, lhs, rhs, integral[j], GATE_RTOL)
+                        if lhs_j is None and rhs_j is None:
+                            continue
+                    imp_lo, imp_up = implied_bounds(ctx, st, a, lo, up, lhs_j,
+                                                    rhs_j, integral[j])
+                    new_lo = imp_lo if imp_lo is not NEG_INF and imp_lo > lo \
+                        else lo
+                    new_up = imp_up if imp_up is not INF and imp_up < up \
+                        else up
+                    if new_lo > new_up and not ctx.feas_leq(new_lo, new_up):
+                        return None
+                    if new_lo is not lo or new_up is not up:
+                        set_bounds(j, lo, up, new_lo, new_up)
+                        next_affected.update(cols[j])
+            affected = next_affected
+            if not affected:
+                break
+        for i, st in rowstate.items():
+            _, lhs, rhs = rows.get(i) or _cache_row(rows, p, i)
+            if rhs is not None and not ctx.feas_leq(
+                    NEG_INF if st[2] else st[0], rhs):
+                return None
+            if lhs is not None and not ctx.feas_leq(
+                    lhs, INF if st[3] else st[1]):
+                return None
+        return {j: (lower[j], upper[j]) for j in changed}
+    finally:
+        for j in changed:
+            lower[j] = col_lower[j]
+            upper[j] = col_upper[j]
 
 
 def _probe_merge(view: PresolveView, k: int, res0: Optional[dict],
@@ -445,8 +496,8 @@ def _probe_chunk(candidates: List[int]) -> list:
     view = _VIEW
     out: list = []
     for k in candidates:
-        res0 = _probe_propagate(view, _SORTED_ROWS, k, 0)
-        res1 = _probe_propagate(view, _SORTED_ROWS, k, 1)
+        res0 = _probe_propagate(view, _SORTED_ROWS, k, 0, _BOUNDS)
+        res1 = _probe_propagate(view, _SORTED_ROWS, k, 1, _BOUNDS)
         if res0 is None and res1 is None:
             out.append(InfeasibleError(
                 f"probing {view.problem.col_names[k]}: both branches "
@@ -470,6 +521,8 @@ def run_probing(view: PresolveView) -> List[Transaction]:
     candidates = binaries[:cap]
     if not candidates:
         return []
+    global _BOUNDS
+    _BOUNDS = (list(p.col_lower), list(p.col_upper))
     txs = _fan_out(view, _probe_chunk, candidates,
                    len(candidates) >= PROBING_PARALLEL_MIN_CANDIDATES
                    and p.nnz >= PROBING_PARALLEL_MIN_NNZ)

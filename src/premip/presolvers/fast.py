@@ -4,12 +4,12 @@ from __future__ import annotations
 from typing import List
 
 from ..model import InfeasibleError
-from ..numerics import (INF, NEG_INF, is_finite, bound_improves_lower,
-                        bound_improves_upper)
+from ..numerics import (INF, NEG_INF, Mode, is_finite,
+                        bound_improves_lower, bound_improves_upper)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import (PresolveView, coeff_gcd, implied_bounds,
-                     integral_coeffs)
+from .common import (GATE_RTOL, PresolveView, coeff_gcd, finite_side,
+                     implied_bounds, integral_coeffs, tightening_sides)
 
 
 def run_colsingleton(view: PresolveView) -> List[Transaction]:
@@ -121,6 +121,7 @@ def run_propagation(view: PresolveView) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     act = view.activities
+    gate = ctx.mode is Mode.FLOAT64
     txs: List[Transaction] = []
     for i in view.scan_rows():
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
@@ -140,10 +141,17 @@ def run_propagation(view: PresolveView) -> List[Transaction]:
                 ReductionStep(StepKind.MARK_ROW_REDUNDANT, row=i)]))
             continue
         state = act.snapshot(i)
+        lhs, rhs = finite_side(lhs), finite_side(rhs)
         for j, a in entries:
             lo, up = p.col_lower[j], p.col_upper[j]
             integral = p.col_integral[j]
-            lower, upper = implied_bounds(ctx, state, a, lo, up, lhs, rhs,
+            lhs_j, rhs_j = lhs, rhs
+            if gate:
+                lhs_j, rhs_j = tightening_sides(state, a, lo, up, lhs, rhs,
+                                                integral, GATE_RTOL)
+                if lhs_j is None and rhs_j is None:
+                    continue
+            lower, upper = implied_bounds(ctx, state, a, lo, up, lhs_j, rhs_j,
                                           integral)
             # INF/NEG_INF mean no bound; a Fraction compares slowly with them
             steps = []

@@ -1,5 +1,7 @@
 """The shared implied-bound kernel and the exhaustive tier's fork fan-out."""
+import gc
 import math
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -12,7 +14,8 @@ from premip.model import InfeasibleError, ModelUpdate, RowActivities
 from premip.numerics import INF, NEG_INF, is_finite
 from premip.parallel import fork_map
 from premip.presolvers import PresolveView, runner
-from premip.presolvers.common import implied_bounds
+from premip.presolvers.common import (GATE_RTOL, finite_side,
+                                      implied_bounds, tightening_sides)
 
 from conftest import random_medium_mip
 
@@ -141,6 +144,159 @@ class TestImpliedBounds:
                                  p.col_lower[j], p.col_upper[j], lhs, rhs,
                                  integral)
             assert got == (lower, upper)
+
+
+def _kernel_with_infinite_sides(ctx, state, a, lo, up, lhs, rhs, integral):
+    """implied_bounds as it was when infinite sides came as INF/NEG_INF."""
+    min_sum, max_sum, n_min_inf, n_max_inf = state
+    positive = a > 0
+    lower, upper = NEG_INF, INF
+    if is_finite(rhs):
+        low = lo if positive else up
+        if is_finite(low):
+            res = min_sum - a * low if n_min_inf <= 0 else None
+        else:
+            res = min_sum if n_min_inf <= 1 else None
+        if res is not None and is_finite(res):
+            cap = (rhs - res) / a
+            if positive:
+                upper = ctx.round_down_bound(cap) if integral else cap
+            else:
+                lower = ctx.round_up_bound(cap) if integral else cap
+    if is_finite(lhs):
+        high = up if positive else lo
+        if is_finite(high):
+            res = max_sum - a * high if n_max_inf <= 0 else None
+        else:
+            res = max_sum if n_max_inf <= 1 else None
+        if res is not None and is_finite(res):
+            cap = (lhs - res) / a
+            if positive:
+                lower = ctx.round_up_bound(cap) if integral else cap
+            else:
+                upper = ctx.round_down_bound(cap) if integral else cap
+    return lower, upper
+
+
+class TestNoneSides:
+    @settings(max_examples=250, deadline=None)
+    @given(st.booleans().flatmap(lambda r: st.tuples(st.just(r), rows(r))))
+    def test_none_side_gives_what_an_infinite_side_gave(self, drawn):
+        rational, p = drawn
+        ctx = RATIONAL if rational else FLOAT
+        act = RowActivities.compute(p)
+        lhs, rhs = p.row_lhs[0], p.row_rhs[0]
+        for j, a in p.rows[0].items():
+            args = (act.snapshot(0), a, p.col_lower[j], p.col_upper[j])
+            got = implied_bounds(ctx, *args, finite_side(lhs),
+                                 finite_side(rhs), p.col_integral[j])
+            want = _kernel_with_infinite_sides(ctx, *args, lhs, rhs,
+                                               p.col_integral[j])
+            assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+# ---------------------------------------------------------------------------
+# the slack test in front of the kernel
+
+
+def _magnitude(rational):
+    """m * 10**e from 1e-12 to about 1e12."""
+    def build(m, e):
+        if rational:
+            return Fraction(m) * Fraction(10) ** e
+        return m * 10.0 ** e
+    return st.builds(build, st.integers(1000, 9999), st.integers(-15, 8))
+
+
+# slack as a multiple of the entry's range: far inside, around and beyond
+_FACTORS = [-0.5, 0, 0.5, 1, 1 + 1e-15, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6,
+            1 + 1e-4, 1.01, 1.05, 1.5, 2, 10]
+
+
+@st.composite
+def gate_cases(draw, rational):
+    """(state, a, lo, up, lhs, rhs, integral) of one entry of a row whose
+    other entries contribute a finite part plus 0, 1 or 2 infinite shares
+    to each activity sum; the sides sit around the entry's range."""
+    mag = _magnitude(rational)
+    num = (lambda v: Fraction(v)) if rational else float
+    a = draw(mag) * draw(st.sampled_from([1, -1]))
+    integral = draw(st.booleans())
+    # a bound is infinite in one draw of four
+    lo = draw(st.one_of(st.just(NEG_INF), *[mag.map(lambda v: -2 * v)] * 3))
+    up = draw(st.one_of(st.just(INF), *[mag.map(
+        lambda v: v if not is_finite(lo) else lo + v)] * 3))
+    if integral:
+        # integral bounds, or bounds half way between integers
+        half = draw(st.booleans())
+        shift = num(0.5) if half else num(0)
+        lo = lo if not is_finite(lo) else num(math.floor(lo)) + shift
+        up = up if not is_finite(up) else num(math.floor(up)) + shift + 1
+    sums = []
+    counts = []
+    for share in ((lo, up) if a > 0 else (up, lo)):
+        other = draw(mag) * draw(st.sampled_from([1, -1, 0]))
+        n = draw(st.sampled_from([0, 0, 1, 2]))
+        if is_finite(share):
+            sums.append(other + a * share)
+            counts.append(n)
+        else:
+            sums.append(other)
+            counts.append(n + 1)
+    state = (sums[0], sums[1], counts[0], counts[1])
+    width = (abs(a) * (up - lo) if is_finite(lo) and is_finite(up)
+             else draw(mag))
+    sides = []
+    for base, sign in ((sums[0], 1), (sums[1], -1)):
+        if draw(st.integers(0, 4)) == 0:
+            sides.append(None)
+            continue
+        factor = draw(st.sampled_from(_FACTORS))
+        delta = width * (Fraction(factor) if rational else factor)
+        sides.append(base + sign * delta)
+    rhs, lhs = sides
+    return state, a, lo, up, lhs, rhs, integral
+
+
+def _check_gate(ctx, rtol, case):
+    state, a, lo, up, lhs, rhs, integral = case
+    gated = tightening_sides(state, a, lo, up, lhs, rhs, integral, rtol)
+    assert gated[0] in (lhs, None) and gated[1] in (rhs, None)
+    for name, kept in zip(("lhs", "rhs"), gated):
+        side = lhs if name == "lhs" else rhs
+        if side is None or kept is not None:
+            continue
+        only = (side, None) if name == "lhs" else (None, side)
+        lower, upper = implied_bounds(ctx, state, a, lo, up, *only, integral)
+        assert not upper < up and not lower > lo, (name, lower, upper)
+    return gated
+
+
+class TestSlackGate:
+    """Whenever the gate drops a side, the kernel's bound from that side
+    is not strictly tighter than the entry's bound."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(gate_cases(rational=False))
+    def test_float64(self, case):
+        _check_gate(FLOAT, GATE_RTOL, case)
+
+    @settings(max_examples=600, deadline=None)
+    @given(gate_cases(rational=True))
+    def test_rational_exact(self, case):
+        _check_gate(RATIONAL, 0, case)
+
+    def test_drops_the_sides_of_a_loose_row(self):
+        # 10*x0 - x1 - ... - x10 <= 0 over binaries: every entry's range
+        # fits in the slack except x0's
+        state = (-10.0, 10.0, 0, 0)
+        assert tightening_sides(state, -1.0, 0.0, 1.0, None, 0.0, True,
+                                GATE_RTOL) == (None, None)
+        assert tightening_sides(state, 10.0, 0.0, 1.0, None, 0.0, True,
+                                GATE_RTOL) == (None, 0.0)
+        # a half-integral bound of an integral column keeps its side
+        assert tightening_sides(state, -1.0, 0.0, 1.5, None, 0.0, True,
+                                GATE_RTOL) == (None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +440,17 @@ class TestFanOut:
                 assert (chunk_fn, workers) in forked
 
 
+def _frozen_in_worker(_):
+    return gc.get_freeze_count()
+
+
+def test_forked_workers_inherit_a_frozen_heap():
+    """Workers see the parent's objects frozen, so their collections leave
+    the shared pages alone; the parent's heap is unfrozen afterwards."""
+    assert all(n > 0 for n in fork_map(_frozen_in_worker, [0, 1, 2], 2))
+    assert gc.get_freeze_count() == 0
+
+
 def _probe_at_each_worker_count(upd):
     """run_probing's transactions (repr) or InfeasibleError message at
     workers 1, 2 and 3."""
@@ -367,3 +534,62 @@ class TestProbingAcrossWorkers:
         monkeypatch.setattr(exhaustive, "_SORTED_ROWS", {})
         assert _probe_at_each_worker_count(b) == after_a
 
+
+class TestProbingWorkspace:
+    """After every branch the workspace holds the problem's bounds again,
+    infeasible early exits included, in-process and in forked workers."""
+
+    def test_restored_after_every_branch(self, monkeypatch):
+        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_CANDIDATES", 0)
+        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_NNZ", 0)
+        # shared with forked workers: branches run, and infeasible ones
+        calls = multiprocessing.Value("i", 0)
+        infeasible = multiprocessing.Value("i", 0)
+        inner = exhaustive._probe_propagate
+
+        def checked(view, rows, k, val, ws=None):
+            out = inner(view, rows, k, val, ws)
+            p = view.problem
+            assert ws is exhaustive._BOUNDS and ws is not None
+            for mine, theirs in ((ws[0], p.col_lower), (ws[1], p.col_upper)):
+                assert len(mine) == len(theirs)
+                assert all(x is y for x, y in zip(mine, theirs)), (k, val)
+            with calls.get_lock():
+                calls.value += 1
+            if out is None:
+                with infeasible.get_lock():
+                    infeasible.value += 1
+            return out
+
+        monkeypatch.setattr(exhaustive, "_probe_propagate", checked)
+        problems = [_infeasible_gadgets([22, 10, 26]),
+                    _infeasible_gadgets([])]
+        for seed in range(3):
+            problems.append(_open_bounds(
+                random_medium_mip(random.Random(seed), 60, 40),
+                random.Random(seed)))
+        for workers in (1, 2, 3):
+            calls.value = infeasible.value = 0
+            for p in problems:
+                upd = ModelUpdate(p)
+                try:
+                    exhaustive.run_probing(PresolveView(
+                        upd.problem, upd.activities, upd.locks,
+                        workers=workers))
+                except InfeasibleError:
+                    pass
+                assert exhaustive._BOUNDS is None
+            assert calls.value > 100 and infeasible.value > 0, workers
+
+    def test_direct_call_restores_an_infeasible_branch(self):
+        upd = ModelUpdate(_infeasible_gadgets([10]))
+        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        p = upd.problem
+        ws = (list(p.col_lower), list(p.col_upper))
+        for val in (0, 1):
+            assert exhaustive._probe_propagate(view, {}, 10, val, ws) is None
+            assert ws == (p.col_lower, p.col_upper)
+        # a feasible branch reports its moves and leaves ws as it was
+        got = exhaustive._probe_propagate(view, {}, 0, 1, ws)
+        assert got and got[0] == (1.0, 1.0) and got[1] == (0.0, 0.0)
+        assert ws == (p.col_lower, p.col_upper)

@@ -4,6 +4,7 @@ import pytest
 
 from premip import NumericContext, Problem, read_mps, read_sol, write_mps, \
     write_sol
+from premip.cli import main
 from premip.mps import MpsError
 from premip.numerics import INF, NEG_INF, is_finite
 
@@ -197,6 +198,17 @@ class TestReaderErrors:
             read_mps(write_tmp(tmp_path, text), CTX)
         assert "line 7" in str(err.value)
         assert "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize("lines", [" X OBJ 1\n X OBJ 2\n",
+                                       " X OBJ 0\n X OBJ 2\n",
+                                       " X R1 1 OBJ 1\n X OBJ 2\n"])
+    def test_repeated_objective_entry(self, tmp_path, lines):
+        text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n" + lines
+                + "RHS\nENDATA\n")
+        with pytest.raises(MpsError) as err:
+            read_mps(write_tmp(tmp_path, text), CTX)
+        assert err.value.line == 7
+        assert "duplicate entry for column 'X' in row 'OBJ'" in str(err.value)
 
     def test_unknown_row_reference(self, tmp_path):
         text = "NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X NOPE 1\nRHS\nENDATA\n"
@@ -411,3 +423,37 @@ class TestSolutionFiles:
         values, obj = read_sol(path, CTX)
         assert values == {"a": 1.5, "b": 0.0}
         assert obj == -2.5
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("body,line,what", [
+        ("a 1\nb 2x\n", 2, "bad numeric literal '2x'"),
+        ("=obj= zz\na 1\n", 1, "bad numeric literal 'zz'"),
+        ("a 1\n\nb nan\n", 3, "NaN literal 'nan'"),
+        ("a -NaN\n", 1, "NaN literal '-NaN'"),
+        ("a 1\nb 2\na 1\n", 3, "second value for column 'a'"),
+        ("=obj=\n", 1, "solution line needs <name> <value>")])
+    def test_malformed_line_is_located(self, tmp_path, rational, body, line,
+                                       what):
+        ctx = NumericContext.rational() if rational else CTX
+        path = write_tmp(tmp_path, body, "x.sol")
+        with pytest.raises(MpsError) as err:
+            read_sol(path, ctx)
+        assert err.value.line == line and what in str(err.value)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("body", ["X1 1\nX2 0.5.5\n", "X1 nan\n",
+                                      "X1 1\nX1 0\n"])
+    def test_cli_postsolve_reports_bad_solution(self, tmp_path, capsys,
+                                                rational, body):
+        knap = write_tmp(tmp_path, KNAP_MPS)
+        record = str(tmp_path / "r.post")
+        args = ["presolve", knap, "-r", str(tmp_path / "r.mps"),
+                "-v", record] + (["--rational"] if rational else [])
+        assert main(args) == 0
+        capsys.readouterr()
+        sol = write_tmp(tmp_path, body, "reduced.sol")
+        code = main(["postsolve", "--record", record, "--solution", sol,
+                     "-o", str(tmp_path / "o.sol")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ")

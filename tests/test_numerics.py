@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from premip.numerics import (INF, NEG_INF, Mode, NumericContext,
                              rational_gcd, is_finite)
+from premip.presolvers.common import coeff_gcd
 
 
 FLOAT = NumericContext.float64()
@@ -193,3 +195,67 @@ class TestMisc:
         assert not is_finite(math.nan)
         assert is_finite(Fraction(-7, 3)) and is_finite(0) and is_finite(True)
         assert Fraction(1, 2) < INF
+
+
+def _old_feas_leq(ctx, a, b):
+    """feas_leq before its a <= b fast path."""
+    if ctx.feastol == 0:
+        return a <= b
+    if a == NEG_INF or b == INF:
+        return True
+    if a == INF or b == NEG_INF:
+        return False
+    return a <= b + ctx.feastol * max(1, abs(a), abs(b))
+
+
+def _old_coeff_gcd(values):
+    g = Fraction(0)
+    for v in values:
+        g = rational_gcd(g, Fraction(v))
+    return g
+
+
+_FRACTIONS = st.fractions(min_value=-10**6, max_value=10**6,
+                          max_denominator=50)
+_INTEGRAL_FRACTIONS = st.integers(-10**30, 10**30).map(Fraction)
+
+
+class TestExactShortcuts:
+    """The rational shortcuts equal the formulas they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_INTEGRAL_FRACTIONS, max_size=6))
+    def test_integral_coeff_gcd_equals_chained_rational_gcd(self, values):
+        got = coeff_gcd(RAT, values)
+        assert type(got) is Fraction and got == _old_coeff_gcd(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_FRACTIONS, _INTEGRAL_FRACTIONS), max_size=5))
+    def test_mixed_coeff_gcd_equals_chained_rational_gcd(self, values):
+        assert coeff_gcd(RAT, values) == _old_coeff_gcd(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_FRACTIONS, _INTEGRAL_FRACTIONS))
+    def test_rational_bound_rounding_without_the_tolerance(self, v):
+        down, up = RAT.round_down_bound(v), RAT.round_up_bound(v)
+        assert type(down) is Fraction and down == math.floor(v + 0)
+        assert type(up) is Fraction and up == math.ceil(v - 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_zero_feastol_float_bound_rounding(self, v):
+        ctx = NumericContext.float64(epsilon=0, feastol=0)
+        assert ctx.round_down_bound(v) == float(math.floor(v + 0.0))
+        assert ctx.round_up_bound(v) == float(math.ceil(v - 0.0))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(), st.floats(),
+           st.sampled_from([FLOAT, NumericContext.float64(0, 0)]))
+    def test_feas_leq_equals_the_full_test(self, a, b, ctx):
+        assert ctx.feas_leq(a, b) == _old_feas_leq(ctx, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_FRACTIONS, st.sampled_from([INF, NEG_INF])),
+           st.one_of(_FRACTIONS, st.sampled_from([INF, NEG_INF])))
+    def test_rational_feas_leq_equals_the_full_test(self, a, b):
+        assert RAT.feas_leq(a, b) == _old_feas_leq(RAT, a, b)
