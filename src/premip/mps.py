@@ -8,7 +8,9 @@ coefficient or objective value, a repeated COLUMNS entry (objective
 included), a header of another standard section (SOS, QUADOBJ, ...), a data
 line under NAME and a file that ends before ENDATA raise MpsError with the
 line number; so do a bad or NaN literal and a repeated column name in a
-solution file.  Free-format data lines may start in column 1.
+solution file.  Infinite RHS, RANGES and BOUNDS values ('inf', 'infinity',
+signed or not, in any case) read as infinite in both number modes.
+Free-format data lines may start in column 1.
 Integral columns without BOUNDS entries get the modern default [0, +inf);
 pass legacy_integer_bounds=True for the historical [0, 1] default.
 """

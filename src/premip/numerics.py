@@ -78,13 +78,18 @@ class NumericContext:
     # -- construction ------------------------------------------------------
 
     def parse(self, text: str) -> Number:
-        """Parse a numeric literal ('1.5', '2e3', and 'p/q' in rational mode)."""
+        """Parse a numeric literal ('1.5', '2e3', and 'p/q' in rational
+        mode).  'inf', 'infinity' and their signed forms, in any case, give
+        INF or NEG_INF in both modes; NaN parses in float64 only."""
         text = text.strip()
         if self.mode is Mode.RATIONAL:
             try:
                 return Fraction(text)
             except ValueError:
-                return Fraction(Decimal(text))
+                value = Decimal(text)
+                if value.is_infinite():
+                    return NEG_INF if value.is_signed() else INF
+                return Fraction(value)
         return float(text)
 
     def number(self, v: Number) -> Number:

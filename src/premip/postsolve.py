@@ -32,9 +32,17 @@ class Solution:
 
 
 def _ctx_for(record: PostsolveRecord) -> NumericContext:
+    """The context the record was produced with: its mode and stored
+    tolerances, or the mode's defaults for a version-1 record, which
+    stores none."""
     if record.mode == "rational":
-        return NumericContext.rational()
-    return NumericContext.float64()
+        if record.hugeval is None:
+            return NumericContext.rational()
+        return NumericContext.rational(record.hugeval)
+    if record.epsilon is None:
+        return NumericContext.float64()
+    return NumericContext.float64(record.epsilon, record.feastol,
+                                  record.hugeval)
 
 
 def postsolve_primal(record: PostsolveRecord,

@@ -116,6 +116,18 @@ def coeff_gcd(ctx: NumericContext, values: List[Number]) -> Number:
     return float(g)
 
 
+def has_units(values, count: int) -> bool:
+    """True if at least count of the values are exactly 1 or -1: such a
+    row's integral coefficients have gcd 1, so the gcd steps of
+    CoeffTightening and SimplifyIneq can skip it."""
+    for v in values:
+        if v == 1 or v == -1:
+            count -= 1
+            if not count:
+                return True
+    return False
+
+
 def finite_side(v: Number) -> Optional[Number]:
     """A row side as the bound kernel takes it: None if infinite."""
     return v if is_finite(v) else None
@@ -138,11 +150,11 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
     nothing gives NEG_INF/INF.
 
     `tightening_sides` tells before the call that a side cannot tighten
-    the entry; callers in float64 mode pass such a side as None.  Its
-    margin, 1e-9 of the magnitudes of the side, the sum and the entry's
-    shares, is far above the few ulps (about 1e-16 of those magnitudes) by
-    which this kernel's residual, difference and quotient round, so the
-    rounded cap of a dropped side could not have improved the bound.
+    the entry, and probing's row screen tells it for a whole row; callers
+    in float64 mode pass such a side as None or skip the call.  Both
+    compare the row's slack with `slack_need`, whose docstring derives
+    why the rounded cap of a dropped side could not have improved the
+    bound.
 
     Some bound arithmetic stays outside this kernel on purpose:
     - trivial presolve's singleton rows and DoubletonEq compute from sides
@@ -191,34 +203,73 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
 GATE_RTOL = 1e-9
 
 
+def slack_need(a: Number, lo: Number, up: Number, integral: bool,
+               feastol: Number, rtol: Number) -> Number:
+    """The slack below which a row side might tighten this entry's bounds
+    through `implied_bounds`, its safety margin included: the one need
+    formula of the slack test (`tightening_sides`) and of probing's row
+    screen.  A side whose slack exceeds the need plus rtol*(|side| +
+    |sum|) cannot tighten the entry.
+
+    For a continuous column the need is |a|*(up-lo) + margin.  The cap
+    from the rhs of a positive entry is lo + slack/|a| (the other cases
+    mirror it), which improves on up exactly when slack < |a|*(up-lo).
+
+    For an integral column with integral finite bounds it is
+    |a|*(up-lo-feastol) + margin.  The kernel rounds the cap inward with
+    `round_down_bound`, floor(cap + feastol), which is below up only when
+    cap < up - feastol, that is slack < |a|*(up-lo-feastol): the cap must
+    fall a whole step short of the bound, less feastol (Achterberg et al.,
+    "Presolve Reductions in Mixed Integer Programming", INFORMS JoC 2020).
+    `round_up_bound` gives the mirror image.  An integral column with a
+    non-integral or infinite bound gets an infinite need: inward rounding
+    could tighten it.
+
+    The margin is rtol*|a|*(|lo|+|up|) here and rtol*(|side| + |sum|) at
+    the comparison.  The kernel's residual, difference, quotient and the
+    feastol shift each round by an ulp of those magnitudes (about 1e-16 of
+    them), so with rtol = GATE_RTOL = 1e-9 the margin exceeds the
+    kernel's rounding, and that of the test itself, a million times over:
+    the rounded cap of a side the test drops stays on the non-improving
+    side of the bound.  With rtol = 0 and feastol = 0 (rationals) the
+    formula is exact.  A NaN need (0 times an infinite bound when rtol is
+    0) fails every comparison, so no side is dropped for it.
+
+    The need never grows when the bounds shrink inside [lo, up]: for
+    lo <= lo' <= up' <= up, |lo'| + |up'| <= |lo| + |up| + (up-lo) -
+    (up'-lo'), so (up'-lo') + rtol*(|lo'|+|up'|) <= (up-lo) +
+    rtol*(|lo|+|up|); and integral bounds stay integral, since the kernel
+    rounds them.  A need from a column's global bounds therefore bounds
+    its need in every probing branch.
+    """
+    mag = a if a > 0 else -a
+    if integral:
+        if lo % 1 or up % 1:  # NaN for an infinite bound
+            return INF
+        return mag * (up - lo - feastol + rtol * (abs(lo) + abs(up)))
+    return mag * (up - lo + rtol * (abs(lo) + abs(up)))
+
+
 def tightening_sides(state: Sequence, a: Number, lo: Number, up: Number,
                      lhs: Optional[Number], rhs: Optional[Number],
-                     integral: bool, rtol: Number
+                     integral: bool, rtol: Number, feastol: Number
                      ) -> Tuple[Optional[Number], Optional[Number]]:
     """(lhs, rhs) with each side that cannot tighten the entry's bounds
     through `implied_bounds` replaced by None: the slack test run in front
-    of the kernel.  The arguments are the kernel's, and rtol is GATE_RTOL
-    in float64 and 0 (an exact test) for rationals.
+    of the kernel.  The arguments are the kernel's; rtol is GATE_RTOL in
+    float64 and 0 (an exact test) for rationals, and feastol is the
+    context's.
 
     A side cannot tighten the entry when it is None, when the row's
     infinity count for it is 2 or more, when that count is 1 and this
-    entry's share is finite, or when the count is 0 and the entry's whole
-    range fits in the row's slack: |a|*(up-lo) + tol < slack, with slack
-    rhs - min_sum or max_sum - lhs and
-    tol = rtol*(|side| + |sum| + |a|*(|lo|+|up|)).  The kernel's cap is
-    then beyond up (lo), so its bound from that side is not strictly
-    tighter.  In float64 the kernel's residual, difference and quotient
-    round by a few ulps of those magnitudes, about 1e-16 of them and far
-    below tol, so the rounded cap stays on the non-improving side too.
-    The slack test is left out for an integral column with a non-integral
-    bound, which inward rounding could tighten, and any comparison with an
-    infinity or NaN in it is false, so the side stays.
+    entry's share is finite, or when the count is 0 and the row's slack,
+    rhs - min_sum or max_sum - lhs, exceeds
+    `slack_need(a, lo, up, integral, feastol, rtol)` + rtol*(|side| +
+    |sum|); `slack_need` derives the bound and its margin.  Any comparison
+    with an infinity or NaN in it is false, so the side stays.
     """
     min_sum, max_sum, n_min_inf, n_max_inf = state
-    mag = a if a > 0 else -a
-    need = mag * (up - lo + rtol * (abs(lo) + abs(up)))
-    if integral and (lo % 1 or up % 1):  # NaN for an infinite bound
-        need = INF
+    need = slack_need(a, lo, up, integral, feastol, rtol)
     if rhs is not None:
         if n_min_inf:
             if n_min_inf > 1 or is_finite(lo if a > 0 else up):

@@ -8,14 +8,33 @@ Each worker turns its chunk into transactions, so only transactions come
 back to the parent.
 
 Probing copies the column bounds once per call into a workspace of two
-arrays, which forked workers inherit.  A branch writes its bounds there,
-lists the columns it changed and puts their bounds back when it ends,
-infeasible exits included; the row activities it moves live in scratch
-copies of the rows it touches.  The sorted entries and resolved sides of
-the rows it reads are kept for the call.  In float64 the slack test
-`tightening_sides` runs in front of each kernel call; with Fractions the
-test costs more than the kernel calls it saves, so rational mode runs
-without it."""
+arrays, with a third that tells which columns have a finite box; forked
+workers inherit it.  A branch writes its bounds there, lists the columns
+it changed and puts their bounds back when it ends, infeasible exits
+included; the row activities it moves live in scratch copies of the rows
+it touches.  Moving a boxed column's shares needs no finiteness test.
+The sorted entries and resolved sides of the rows it reads are kept for
+the call.
+
+In float64 two exact early exits run in front of the kernel, both built on
+`common.slack_need`, which includes the whole step an integral column's
+bound needs.  The row screen: when a row is first read, each entry's need
+is computed from the call's global bounds, which bound its need in every
+branch because a branch only shrinks bounds.  On a visit of a row with no
+infinite share, one threshold, the smaller slack of its present sides
+less the margin, is compared with those needs.  An entry whose need is
+below it is skipped, and the whole row when its largest need is; the
+threshold is recomputed after each bound change in the row.  Each unfixed
+entry the screen lets through then meets the slack test
+`tightening_sides` with its branch bounds.  Rational mode runs without
+both, as it ran without the slack test, which cost more there than the
+kernel calls it saved.
+
+The merge of a candidate's two branches loops only over the columns both
+branches moved: a column moved in one branch keeps its global bounds in
+the other, so the union of its two boxes is its global box and gives no
+bound.  It gives a coupling only when those global bounds are approx_eq
+without being equal, so such columns are kept too."""
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
@@ -27,7 +46,7 @@ from ..parallel import chunk_evenly, fork_map
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
 from .common import (GATE_RTOL, PresolveView, finite_side, implied_bounds,
-                     tightening_sides)
+                     slack_need, tightening_sides)
 
 # work-size gates below which forking is not worth the overhead
 PROBING_PARALLEL_MIN_CANDIDATES = 192
@@ -35,14 +54,15 @@ PROBING_PARALLEL_MIN_NNZ = 2000
 DOMCOL_PARALLEL_MIN_GROUPS = 512
 SPARSIFY_PARALLEL_MIN_EQS = 512
 
-# the view of the presolver whose chunks run; for probing, the sorted
-# entries and resolved sides of the rows its chunks have read so far, and
-# its workspace of column bounds.  Forked workers inherit all three, and
-# all three are cleared when the call ends.
+# the view of the presolver whose chunks run; for probing, the rows its
+# chunks have read so far (see _cache_row), and its workspace (see
+# _workspace).  Forked workers inherit all three, and all three are cleared
+# when the call ends.
 _VIEW: Optional[PresolveView] = None
-_SORTED_ROWS: Dict[int, Tuple[List[Tuple[int, Number]], Optional[Number],
-                              Optional[Number]]] = {}
-_BOUNDS: Optional[Tuple[List[Number], List[Number]]] = None
+_SORTED_ROWS: Dict[int, Tuple[List[Tuple[int, Number, float]],
+                              Optional[Number], Optional[Number],
+                              float]] = {}
+_BOUNDS: Optional[Tuple[List[Number], List[Number], List[bool]]] = None
 
 
 def _fan_out(view: PresolveView, chunk_fn, items: list,
@@ -313,11 +333,47 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
 # Probing
 
 
-def _cache_row(rows: Dict[int, tuple], p, i: int) -> tuple:
-    """Row i's sorted entries and its sides, an infinite one as None."""
-    row = rows[i] = (p.row_entries(i), finite_side(p.row_lhs[i]),
-                     finite_side(p.row_rhs[i]))
+def _workspace(p) -> tuple:
+    """Probing's workspace: copies of the column bounds, and whether each
+    column's box is finite."""
+    lower, upper = list(p.col_lower), list(p.col_upper)
+    return lower, upper, [is_finite(lo) and is_finite(up)
+                          for lo, up in zip(lower, upper)]
+
+
+def _cache_row(rows: Dict[int, tuple], p, i: int, screen: bool) -> tuple:
+    """Row i's sorted entries as (col, coeff, need), its sides with an
+    infinite one as None, and its largest need.  With screen, the need is
+    `slack_need` from the problem's bounds, the call's global ones;
+    without, it is INF, which the screen never skips."""
+    if screen:
+        lower, upper, integral = p.col_lower, p.col_upper, p.col_integral
+        feastol = p.ctx.feastol
+        entries = [(j, a, slack_need(a, lower[j], upper[j], integral[j],
+                                     feastol, GATE_RTOL))
+                   for j, a in p.row_entries(i)]
+    else:
+        entries = [(j, a, INF) for j, a in p.row_entries(i)]
+    row = rows[i] = (entries, finite_side(p.row_lhs[i]),
+                     finite_side(p.row_rhs[i]),
+                     max((need for _, _, need in entries), default=NEG_INF))
     return row
+
+
+def _screen_threshold(st: list, lhs: Optional[Number],
+                      rhs: Optional[Number]) -> Number:
+    """The row screen's threshold for a row state with no infinite share:
+    the smaller slack of the present sides less its rtol*(|side| + |sum|)
+    margin.  An entry whose need is below it cannot be tightened by the
+    row (see `common.slack_need`); with no side, nothing can."""
+    thr = INF
+    if rhs is not None:
+        thr = rhs - st[0] - GATE_RTOL * (abs(rhs) + abs(st[0]))
+    if lhs is not None:
+        other = st[1] - lhs - GATE_RTOL * (abs(lhs) + abs(st[1]))
+        if other < thr:
+            thr = other
+    return thr
 
 
 def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
@@ -327,19 +383,19 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
     {col: (lo, up)} for the columns whose bounds moved, or None if
     infeasible.
 
-    ws is the workspace (lower, upper), copies of the column bounds (a
-    fresh copy if None).  The branch writes its bounds there and lists the
-    columns it changed; on the way out, infeasible exits included, those
-    columns get their bounds back, so ws equals the problem's bounds again.
-    rows caches, per row read, its sorted entries and its sides with an
-    infinite side as None."""
+    ws is the workspace (lower, upper, boxed) of `_workspace`: copies of
+    the column bounds and whether each global box is finite (a fresh one
+    if None).  The branch writes its bounds there and lists the columns it
+    changed; on the way out, infeasible exits included, those columns get
+    their bounds back, so ws equals the problem's bounds again.
+    rows caches, per row read, what `_cache_row` gives."""
     p = view.problem
     ctx = view.ctx
     act = view.activities
     col_lower, col_upper, cols = p.col_lower, p.col_upper, p.cols
     integral = p.col_integral
-    lower, upper = ws if ws is not None else (list(col_lower),
-                                              list(col_upper))
+    feastol = ctx.feastol
+    lower, upper, boxed = ws if ws is not None else _workspace(p)
     gate = ctx.mode is Mode.FLOAT64
     changed: List[int] = []
     rowstate: Dict[int, list] = {}
@@ -347,13 +403,17 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
     def set_bounds(j, lo, up, new_lo, new_up):
         """Move column j's shares in its rows' overlays from (lo, up) to
         (new_lo, new_up): the old share is subtracted, then the new one
-        added, slot by slot."""
-        lo_fin, up_fin = is_finite(lo), is_finite(up)
-        new_lo_fin, new_up_fin = is_finite(new_lo), is_finite(new_up)
-        all_fin = lo_fin and up_fin and new_lo_fin and new_up_fin
-        # change of the count of infinite lower/upper bounds
-        d_lo = (not new_lo_fin) - (not lo_fin)
-        d_up = (not new_up_fin) - (not up_fin)
+        added, slot by slot.  A branch only shrinks bounds, so a column
+        with a finite global box has four finite bounds here."""
+        if boxed[j]:
+            all_fin = True
+        else:
+            lo_fin, up_fin = is_finite(lo), is_finite(up)
+            new_lo_fin, new_up_fin = is_finite(new_lo), is_finite(new_up)
+            all_fin = lo_fin and up_fin and new_lo_fin and new_up_fin
+            # change of the count of infinite lower/upper bounds
+            d_lo = (not new_lo_fin) - (not lo_fin)
+            d_up = (not new_up_fin) - (not up_fin)
         for i, a in cols[j].items():
             st = rowstate.get(i)
             if st is None:
@@ -402,21 +462,30 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                 st = rowstate.get(i)
                 if st is None:
                     st = rowstate[i] = list(act.snapshot(i))
-                entries, lhs, rhs = rows.get(i) or _cache_row(rows, p, i)
+                entries, lhs, rhs, top = rows.get(i) or _cache_row(rows, p, i,
+                                                                   gate)
                 if rhs is not None and not ctx.feas_leq(
                         NEG_INF if st[2] else st[0], rhs):
                     return None
                 if lhs is not None and not ctx.feas_leq(
                         lhs, INF if st[3] else st[1]):
                     return None
-                for j, a in entries:
+                # the row screen, for rows with no infinite share
+                screen = gate and not st[2] and not st[3]
+                thr = _screen_threshold(st, lhs, rhs) if screen else NEG_INF
+                if top < thr:
+                    continue
+                for j, a, need in entries:
+                    if need < thr:
+                        continue
                     lo, up = lower[j], upper[j]
                     if lo == up:
                         continue
                     lhs_j, rhs_j = lhs, rhs
                     if gate:
                         lhs_j, rhs_j = tightening_sides(
-                            st, a, lo, up, lhs, rhs, integral[j], GATE_RTOL)
+                            st, a, lo, up, lhs, rhs, integral[j], GATE_RTOL,
+                            feastol)
                         if lhs_j is None and rhs_j is None:
                             continue
                     imp_lo, imp_up = implied_bounds(ctx, st, a, lo, up, lhs_j,
@@ -430,11 +499,13 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                     if new_lo is not lo or new_up is not up:
                         set_bounds(j, lo, up, new_lo, new_up)
                         next_affected.update(cols[j])
+                        if screen:
+                            thr = _screen_threshold(st, lhs, rhs)
             affected = next_affected
             if not affected:
                 break
         for i, st in rowstate.items():
-            _, lhs, rhs = rows.get(i) or _cache_row(rows, p, i)
+            _, lhs, rhs, _ = rows.get(i) or _cache_row(rows, p, i, gate)
             if rhs is not None and not ctx.feas_leq(
                     NEG_INF if st[2] else st[0], rhs):
                 return None
@@ -460,10 +531,18 @@ def _probe_merge(view: PresolveView, k: int, res0: Optional[dict],
     if res1 is None:
         return [Transaction("probing", [ReductionStep(
             StepKind.FIX_COLUMN, col=k, value=ctx.number(0))])]
-    touched = sorted((set(res0) | set(res1)) - {k})
+    # a column moved in one branch only keeps its global bounds in the
+    # other, so it gives no bound, and a coupling only when those bounds
+    # are approx_eq but not equal
+    touched = res0.keys() & res1.keys()
+    for j in res0.keys() ^ res1.keys():
+        lo, up = p.col_lower[j], p.col_upper[j]
+        if lo != up and ctx.approx_eq(lo, up):
+            touched.add(j)
+    touched.discard(k)
     bound_steps = []
     aggregations = []
-    for j in touched:
+    for j in sorted(touched):
         lo0, up0 = res0.get(j, (p.col_lower[j], p.col_upper[j]))
         lo1, up1 = res1.get(j, (p.col_lower[j], p.col_upper[j]))
         glb, gub = min(lo0, lo1), max(up0, up1)
@@ -522,7 +601,7 @@ def run_probing(view: PresolveView) -> List[Transaction]:
     if not candidates:
         return []
     global _BOUNDS
-    _BOUNDS = (list(p.col_lower), list(p.col_upper))
+    _BOUNDS = _workspace(p)
     txs = _fan_out(view, _probe_chunk, candidates,
                    len(candidates) >= PROBING_PARALLEL_MIN_CANDIDATES
                    and p.nnz >= PROBING_PARALLEL_MIN_NNZ)

@@ -9,7 +9,8 @@ from ..numerics import (INF, NEG_INF, Mode, is_finite,
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
 from .common import (GATE_RTOL, PresolveView, coeff_gcd, finite_side,
-                     implied_bounds, integral_coeffs, tightening_sides)
+                     has_units, implied_bounds, integral_coeffs,
+                     tightening_sides)
 
 
 def run_colsingleton(view: PresolveView) -> List[Transaction]:
@@ -92,8 +93,10 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
                     steps.append(ReductionStep(StepKind.CHANGE_LHS, row=i,
                                                value=-side))
                 changed = True
-        # gcd normalization of all-integral rows
-        if all(p.col_integral[j] for j in coeffs):
+        # gcd normalization of all-integral rows; a unit coefficient makes
+        # the gcd 1
+        if all(p.col_integral[j] for j in coeffs) \
+                and not has_units(coeffs.values(), 1):
             as_ints = integral_coeffs(ctx, sorted(coeffs.items()))
             if as_ints is not None and len(as_ints) > 0:
                 g = coeff_gcd(ctx, [v for _, v in as_ints])
@@ -148,7 +151,8 @@ def run_propagation(view: PresolveView) -> List[Transaction]:
             lhs_j, rhs_j = lhs, rhs
             if gate:
                 lhs_j, rhs_j = tightening_sides(state, a, lo, up, lhs, rhs,
-                                                integral, GATE_RTOL)
+                                                integral, GATE_RTOL,
+                                                ctx.feastol)
                 if lhs_j is None and rhs_j is None:
                     continue
             lower, upper = implied_bounds(ctx, state, a, lo, up, lhs_j, rhs_j,

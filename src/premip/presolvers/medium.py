@@ -18,7 +18,7 @@ from ..numerics import (INF, NEG_INF, Number, bound_improves_lower,
                         bound_improves_upper, is_finite)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import PresolveView, coeff_gcd, integral_coeffs
+from .common import PresolveView, coeff_gcd, has_units, integral_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +463,23 @@ def run_simplifyineq(view: PresolveView) -> List[Transaction]:
     ctx = view.ctx
     txs: List[Transaction] = []
     for i in view.scan_rows():
-        entries = p.row_entries(i)
-        if len(entries) < 2 or p.is_equation(i):
+        row = p.rows[i]
+        if len(row) < 2 or p.is_equation(i):
             continue
+        lhs, rhs = p.row_lhs[i], p.row_rhs[i]
+        two_sided = is_finite(lhs) and is_finite(rhs)
+        # the gcd of the coefficients a row keeps is 1 while it keeps a
+        # unit one: a two-sided row keeps all of them, and a one-sided
+        # row's candidate drops at most one of two
+        if has_units(row.values(), 1 if two_sided else 2):
+            continue
+        entries = p.row_entries(i)
         if not all(p.col_integral[j] for j, _ in entries):
             continue
         ints = integral_coeffs(ctx, entries)
         if ints is None:
             continue
-        lhs, rhs = p.row_lhs[i], p.row_rhs[i]
-        if is_finite(lhs) and is_finite(rhs):
+        if two_sided:
             tx = _round_sides_only(view, i, ints, lhs, rhs)
             if tx is not None:
                 txs.append(tx)

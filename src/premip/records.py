@@ -9,10 +9,17 @@ One table, `_LAYOUT`, gives every entry kind its tag and the order and
 kind of its fields; the binary writer, the text writer and both readers
 all walk it.  A truncated or malformed file raises RecordFormatError with
 the byte offset (binary) or the line number (text).
+
+Version 2 stores the run's epsilon, feastol and hugeval after the mode,
+so postsolve compares with the tolerances the reductions were made with,
+and the text format states its entry count, so a file cut at a line
+boundary is told from a complete one.  Version-1 files still read; their
+records carry no tolerances and postsolve uses the mode's defaults.
 """
 from __future__ import annotations
 
 import io
+import math
 import struct
 from fractions import Fraction
 from typing import BinaryIO, Callable, Dict, Iterator, Tuple
@@ -20,11 +27,12 @@ from typing import BinaryIO, Callable, Dict, Iterator, Tuple
 from .model import (AggregateEntry, BoundChangeEntry, CoeffChangeEntry,
                     FixEntry, FreeSingletonEntry, ImplyIntegralEntry,
                     RedundantRowEntry, SideChangeEntry, SubstituteEntry)
-from .numerics import INF, NEG_INF, Number
+from .numerics import INF, NEG_INF, Mode, Number, NumericContext
+from .postsolve import _ctx_for
 from .transactions import PostsolveRecord
 
 MAGIC = b"PMRC"
-VERSION = 1
+VERSION = 2
 
 # Wire layout of every entry kind; an entry's tag is its 1-based position.
 # Field kinds: i integer, s string, n number, p list of (int, number) pairs
@@ -47,6 +55,23 @@ _ENTRY_TAGS = {cls: tag for tag, (cls, _) in enumerate(_LAYOUT, 1)}
 
 class RecordFormatError(ValueError):
     pass
+
+
+def _checked_tolerances(mode: str, epsilon: float, feastol: float,
+                        hugeval: float) -> tuple:
+    """(epsilon, feastol, hugeval) if they are finite and a context of the
+    mode accepts them, else ValueError."""
+    if not (math.isfinite(epsilon) and math.isfinite(feastol)):
+        raise ValueError("tolerances must be finite")
+    NumericContext(Mode(mode), epsilon, feastol, hugeval)
+    return epsilon, feastol, hugeval
+
+
+def _tolerances(record: PostsolveRecord) -> tuple:
+    """The (epsilon, feastol, hugeval) that postsolve uses for the record:
+    its own, or its mode's defaults for a record without them."""
+    ctx = _ctx_for(record)
+    return ctx.epsilon, ctx.feastol, ctx.hugeval
 
 
 def _flatten(entry) -> Iterator[Tuple[str, object]]:
@@ -154,6 +179,8 @@ def write_record(record: PostsolveRecord, path: str,
         fh.write(MAGIC)
         _w_u64(fh, VERSION)
         fh.write(b"\x01" if rational else b"\x00")
+        for tol in _tolerances(record):
+            fh.write(struct.pack("<d", tol))
         _w_u64(fh, record.original_nrows)
         _w_u64(fh, record.original_ncols)
         _w_num(fh, record.objective_offset, rational)
@@ -177,9 +204,19 @@ def read_record(path: str) -> PostsolveRecord:
     if fh.read(4) != MAGIC:
         return _read_text(path)
     version = _r_u64(fh)
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise RecordFormatError(f"unsupported record version {version}")
     rational = _read(fh, 1) == b"\x01"
+    mode = "rational" if rational else "float64"
+    tolerances = (None, None, None)
+    if version >= 2:
+        at = fh.tell()
+        tolerances = struct.unpack("<3d", _read(fh, 24))
+        try:
+            _checked_tolerances(mode, *tolerances)
+        except ValueError as exc:
+            raise RecordFormatError(
+                f"bad tolerances at byte {at}: {exc}") from None
     readers = {"i": lambda: _r_u64(fh), "s": lambda: _r_str(fh),
                "n": lambda: _r_num(fh, rational)}
     nrows, ncols = _r_u64(fh), _r_u64(fh)
@@ -193,7 +230,8 @@ def read_record(path: str) -> PostsolveRecord:
     return PostsolveRecord(
         original_nrows=nrows, original_ncols=ncols, objective=objective,
         objective_offset=offset, col_names=col_names, row_names=row_names,
-        mode="rational" if rational else "float64", entries=entries)
+        mode=mode, entries=entries, epsilon=tolerances[0],
+        feastol=tolerances[1], hugeval=tolerances[2])
 
 
 # -- text format --------------------------------------------------------------
@@ -214,12 +252,15 @@ def _fmt_num(v: Number) -> str:
 def _write_text(record: PostsolveRecord, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"{_TEXT_HEADER} {VERSION} {record.mode}\n")
+        fh.write("tolerances " + " ".join(
+            repr(float(tol)) for tol in _tolerances(record)) + "\n")
         fh.write(f"dims {record.original_nrows} {record.original_ncols}\n")
         fh.write(f"offset {_fmt_num(record.objective_offset)}\n")
         fh.write("obj " + " ".join(_fmt_num(c) for c in record.objective)
                  + "\n")
         fh.write("colnames " + " ".join(record.col_names) + "\n")
         fh.write("rownames " + " ".join(record.row_names) + "\n")
+        fh.write(f"entries {len(record.entries)}\n")
         for entry in record.entries:
             parts = [str(_ENTRY_TAGS[type(entry)])]
             for kind, value in _flatten(entry):
@@ -245,11 +286,16 @@ def _read_text(path: str) -> PostsolveRecord:
         return tokens[1:]
 
     mode = None
+    tolerances = (None, None, None)
+    declared = None
     try:
         version, mode = take(_TEXT_HEADER, 2)
-        if int(version) != VERSION:
+        if int(version) not in (1, VERSION):
             raise RecordFormatError(f"unsupported record version {version}")
         rational = mode == "rational"
+        if int(version) >= 2:
+            tolerances = _checked_tolerances(
+                mode, *(float(t) for t in take("tolerances", 3)))
 
         def parse_num(tok: str) -> Number:
             if tok == "inf":
@@ -263,6 +309,8 @@ def _read_text(path: str) -> PostsolveRecord:
         objective = [parse_num(t) for t in take("obj", ncols)]
         col_names = take("colnames", ncols)
         row_names = take("rownames", nrows)
+        if int(version) >= 2:
+            declared = int(take("entries", 1)[0])
         entries = []
         readers = {"i": lambda: int(next(tokens)),
                    "s": lambda: next(tokens),
@@ -271,10 +319,17 @@ def _read_text(path: str) -> PostsolveRecord:
             if not lines[lineno]:
                 lineno += 1
                 continue
+            if len(entries) == declared:
+                lineno += 1
+                raise ValueError(f"more than the {declared} entries "
+                                 f"declared")
             tokens = iter(take("entry"))
             entries.append(_build_entry(readers["i"](), readers))
             if next(tokens, None) is not None:
                 raise ValueError("trailing fields")
+        if declared is not None and len(entries) != declared:
+            raise ValueError(f"{declared} entries declared, "
+                             f"{len(entries)} found")
     except (ValueError, StopIteration, ZeroDivisionError) as exc:
         why = (str(exc) or "too few fields") if mode else \
             "not a postsolve record"
@@ -282,4 +337,5 @@ def _read_text(path: str) -> PostsolveRecord:
     return PostsolveRecord(
         original_nrows=nrows, original_ncols=ncols, objective=objective,
         objective_offset=offset, col_names=col_names, row_names=row_names,
-        mode=mode, entries=entries)
+        mode=mode, entries=entries, epsilon=tolerances[0],
+        feastol=tolerances[1], hugeval=tolerances[2])

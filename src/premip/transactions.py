@@ -120,9 +120,15 @@ class PostsolveRecord:
     row_names: List[str]
     mode: str
     entries: List[RecordEntry] = field(default_factory=list)
+    # the tolerances of the run; None (a version-1 file) means the mode's
+    # defaults
+    epsilon: Optional[float] = None
+    feastol: Optional[float] = None
+    hugeval: Optional[float] = None
 
     @staticmethod
     def for_problem(problem: Problem) -> "PostsolveRecord":
+        ctx = problem.ctx
         return PostsolveRecord(
             original_nrows=problem.nrows,
             original_ncols=problem.ncols,
@@ -130,7 +136,8 @@ class PostsolveRecord:
             objective_offset=problem.obj_offset,
             col_names=list(problem.col_names),
             row_names=list(problem.row_names),
-            mode=problem.ctx.mode.value,
+            mode=ctx.mode.value,
+            epsilon=ctx.epsilon, feastol=ctx.feastol, hugeval=ctx.hugeval,
         )
 
 

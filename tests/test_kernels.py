@@ -11,13 +11,18 @@ from hypothesis import given, settings, strategies as st
 import premip.presolvers.exhaustive as exhaustive
 from premip import NumericContext, Problem, apply_all
 from premip.model import InfeasibleError, ModelUpdate, RowActivities
-from premip.numerics import INF, NEG_INF, is_finite
+from premip.numerics import (INF, NEG_INF, bound_improves_lower,
+                             bound_improves_upper, is_finite)
 from premip.parallel import fork_map
 from premip.presolvers import PresolveView, runner
 from premip.presolvers.common import (GATE_RTOL, finite_side,
-                                      implied_bounds, tightening_sides)
+                                      implied_bounds, slack_need,
+                                      tightening_sides)
+from premip.transactions import (ReductionStep, StepKind, Transaction,
+                                 assert_col_bounds)
 
 from conftest import random_medium_mip
+from test_acceptance import probing_chain_instance
 
 FLOAT = NumericContext.float64()
 RATIONAL = NumericContext.rational()
@@ -251,8 +256,12 @@ def gate_cases(draw, rational):
         if draw(st.integers(0, 4)) == 0:
             sides.append(None)
             continue
-        factor = draw(st.sampled_from(_FACTORS))
+        factor = draw(st.sampled_from(_FACTORS + [1, 1, 1]))
         delta = width * (Fraction(factor) if rational else factor)
+        if not rational:
+            # around the whole step of an integral column, feastol*|a|
+            delta += FLOAT.feastol * abs(a) * draw(st.sampled_from(
+                [0, -1, -1 - 1e-9, -1 + 1e-9, -1.01, -1.5, -2, 1]))
         sides.append(base + sign * delta)
     rhs, lhs = sides
     return state, a, lo, up, lhs, rhs, integral
@@ -260,7 +269,8 @@ def gate_cases(draw, rational):
 
 def _check_gate(ctx, rtol, case):
     state, a, lo, up, lhs, rhs, integral = case
-    gated = tightening_sides(state, a, lo, up, lhs, rhs, integral, rtol)
+    gated = tightening_sides(state, a, lo, up, lhs, rhs, integral, rtol,
+                             ctx.feastol)
     assert gated[0] in (lhs, None) and gated[1] in (rhs, None)
     for name, kept in zip(("lhs", "rhs"), gated):
         side = lhs if name == "lhs" else rhs
@@ -287,16 +297,241 @@ class TestSlackGate:
         _check_gate(RATIONAL, 0, case)
 
     def test_drops_the_sides_of_a_loose_row(self):
-        # 10*x0 - x1 - ... - x10 <= 0 over binaries: every entry's range
-        # fits in the slack except x0's
+        # 10*x0 - x1 - ... - x10 <= 0 over binaries: without the integral
+        # step every entry's range fits in the slack except x0's
         state = (-10.0, 10.0, 0, 0)
         assert tightening_sides(state, -1.0, 0.0, 1.0, None, 0.0, True,
-                                GATE_RTOL) == (None, None)
+                                GATE_RTOL, 0.0) == (None, None)
         assert tightening_sides(state, 10.0, 0.0, 1.0, None, 0.0, True,
-                                GATE_RTOL) == (None, 0.0)
+                                GATE_RTOL, 0.0) == (None, 0.0)
         # a half-integral bound of an integral column keeps its side
         assert tightening_sides(state, -1.0, 0.0, 1.5, None, 0.0, True,
-                                GATE_RTOL) == (None, 0.0)
+                                GATE_RTOL, FLOAT.feastol) == (None, 0.0)
+
+    def test_integral_step(self):
+        """x0's cap sits exactly on its bound, 0 + 10/10 = 1: an integral
+        x0 needs a whole step, so its side goes; a continuous one keeps
+        it, and so does a slack a little short of the range."""
+        state = (-10.0, 10.0, 0, 0)
+        feastol = FLOAT.feastol
+        assert tightening_sides(state, 10.0, 0.0, 1.0, None, 0.0, True,
+                                GATE_RTOL, feastol) == (None, None)
+        assert tightening_sides(state, 10.0, 0.0, 1.0, None, 0.0, False,
+                                GATE_RTOL, feastol) == (None, 0.0)
+        for rhs in (-20 * feastol, -0.5):
+            assert tightening_sides(state, 10.0, 0.0, 1.0, None, rhs, True,
+                                    GATE_RTOL, feastol) == (None, rhs)
+            upper = implied_bounds(FLOAT, state, 10.0, 0.0, 1.0, None, rhs,
+                                   True)[1]
+            assert upper == 0.0
+        # within feastol of the step the kernel rounds back up: no side
+        rhs = -5 * feastol
+        assert implied_bounds(FLOAT, state, 10.0, 0.0, 1.0, None, rhs,
+                              True)[1] == 1.0
+        assert tightening_sides(state, 10.0, 0.0, 1.0, None, rhs, True,
+                                GATE_RTOL, feastol) == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# probing's row screen
+
+
+@st.composite
+def screen_cases(draw):
+    """(state, a, lo, up, sub_lo, sub_up, lhs, rhs, integral): an entry
+    whose global box [lo, up] holds its branch box [sub_lo, sub_up], in a
+    row with no infinite share built from the branch box; each side's
+    slack sits around |a|*(up-lo), shifted by multiples of feastol*|a|,
+    feastol and 1e-15."""
+    feastol = FLOAT.feastol
+    mag = _magnitude(False)
+    a = draw(mag) * draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["integral", "half", "continuous"]))
+    whole = draw(st.booleans())
+    if kind == "continuous":
+        lo = draw(mag) * draw(st.sampled_from([-1, 0, 1]))
+        up = lo + draw(mag)
+        t0, t1 = sorted(draw(st.floats(0, 1)) for _ in range(2))
+        sub_lo = min(max(lo + (up - lo) * t0, lo), up)
+        sub_up = max(min(lo + (up - lo) * t1, up), sub_lo)
+    else:
+        lo = float(draw(st.integers(-100, 100)))
+        up = lo + draw(st.integers(0, 5))
+        sub_lo = float(draw(st.integers(int(lo), int(up))))
+        sub_up = float(draw(st.integers(int(sub_lo), int(up))))
+        if kind == "half":
+            lo, up = lo - 0.5, up + 0.5
+    if whole:
+        sub_lo, sub_up = lo, up
+    integral = kind != "continuous"
+    other_min = draw(mag) * draw(st.sampled_from([1, -1, 0]))
+    other_max = other_min + draw(mag)
+    if a > 0:
+        state = (other_min + a * sub_lo, other_max + a * sub_up, 0, 0)
+    else:
+        state = (other_min + a * sub_up, other_max + a * sub_lo, 0, 0)
+    sides = []
+    for base, sign in ((state[0], 1), (state[1], -1)):
+        if draw(st.integers(0, 3)) == 0:
+            sides.append(None)
+            continue
+        factor = draw(st.sampled_from([0, 0.5, 1, 1, 1, 1 + 1e-12, 2]))
+        c1, c2, c3 = (draw(st.sampled_from([-1, 0, 1])) for _ in range(3))
+        slack = (abs(a) * (up - lo) * factor + c1 * feastol * abs(a)
+                 + c2 * feastol + c3 * 1e-15)
+        sides.append(base + sign * slack)
+    rhs, lhs = sides
+    return state, a, lo, up, sub_lo, sub_up, lhs, rhs, integral
+
+
+class TestProbingScreen:
+    """An entry the screen skips, its need from the global box below the
+    row's threshold, cannot be tightened by the kernel in any branch box
+    inside the global one."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(screen_cases())
+    def test_need_below_threshold_cannot_tighten(self, case):
+        state, a, lo, up, sub_lo, sub_up, lhs, rhs, integral = case
+        need = slack_need(a, lo, up, integral, FLOAT.feastol, GATE_RTOL)
+        if not need < exhaustive._screen_threshold(list(state), lhs, rhs):
+            return
+        lower, upper = implied_bounds(FLOAT, state, a, sub_lo, sub_up, lhs,
+                                      rhs, integral)
+        assert not upper < sub_up and not lower > sub_lo
+
+    def test_skips_a_binary_whose_cap_sits_on_its_bound(self):
+        # 10*x0 - x1 - ... - x10 <= 0 with x0's cap exactly 1
+        st_ = [-10.0, 10.0, 0, 0]
+        thr = exhaustive._screen_threshold(st_, None, 0.0)
+        assert slack_need(10.0, 0.0, 1.0, True, FLOAT.feastol,
+                          GATE_RTOL) < thr
+        assert not slack_need(10.0, 0.0, 1.0, False, FLOAT.feastol,
+                              GATE_RTOL) < thr
+        # with one window entry fixed to 0, x0 can reach 0: no skip
+        thr = exhaustive._screen_threshold([-9.0, 10.0, 0, 0], None, 0.0)
+        assert not slack_need(10.0, 0.0, 1.0, True, FLOAT.feastol,
+                              GATE_RTOL) < thr
+
+    def test_probing_equals_probing_without_early_exits(self, monkeypatch):
+        """run_probing's transactions with the screen and the slack test
+        equal those of every entry going to the kernel."""
+        instances = [probing_chain_instance(60)]
+        for seed in range(4):
+            instances.append(_open_bounds(
+                random_medium_mip(random.Random(seed), 60, 40),
+                random.Random(seed)))
+            instances.append(random_medium_mip(random.Random(seed), 60, 40))
+
+        def probe_all():
+            out = []
+            for p in instances:
+                upd = ModelUpdate(p.copy())
+                view = PresolveView(upd.problem, upd.activities, upd.locks)
+                try:
+                    out.append(repr(exhaustive.run_probing(view)))
+                except InfeasibleError as err:
+                    out.append(str(err))
+            return out
+
+        screened = probe_all()
+        assert sum(t.count("Transaction(") for t in screened) > 100
+        monkeypatch.setattr(exhaustive, "_screen_threshold",
+                            lambda st_, lhs, rhs: NEG_INF)
+        monkeypatch.setattr(exhaustive, "tightening_sides",
+                            lambda st_, a, lo, up, lhs, rhs, *rest: (lhs, rhs))
+        assert probe_all() == screened
+
+
+# ---------------------------------------------------------------------------
+# the merge of probing's two branches
+
+
+def _union_merge(view, k, res0, res1):
+    """_probe_merge over every column either branch moved, as it was
+    written before it skipped the columns one branch moved."""
+    p = view.problem
+    ctx = view.ctx
+    touched = sorted((set(res0) | set(res1)) - {k})
+    bound_steps = []
+    aggregations = []
+    for j in touched:
+        lo0, up0 = res0.get(j, (p.col_lower[j], p.col_upper[j]))
+        lo1, up1 = res1.get(j, (p.col_lower[j], p.col_upper[j]))
+        glb, gub = min(lo0, lo1), max(up0, up1)
+        integral = p.col_integral[j]
+        if bound_improves_lower(ctx, p.col_lower[j], glb, integral):
+            bound_steps.append(ReductionStep(StepKind.CHANGE_LOWER,
+                                             col=j, value=glb))
+        if bound_improves_upper(ctx, p.col_upper[j], gub, integral):
+            bound_steps.append(ReductionStep(StepKind.CHANGE_UPPER,
+                                             col=j, value=gub))
+        forced0 = ctx.approx_eq(lo0, up0)
+        forced1 = ctx.approx_eq(lo1, up1)
+        if forced0 and forced1 and not ctx.approx_eq(lo0, lo1):
+            alpha, beta = lo0, lo1 - lo0
+            if p.col_integral[j] and not (ctx.is_integral(alpha)
+                                          and ctx.is_integral(beta)):
+                continue
+            aggregations.append(Transaction("probing", [
+                assert_col_bounds(j), assert_col_bounds(k),
+                ReductionStep(StepKind.SUBSTITUTE_COLUMN, col=j, col2=k,
+                              value=alpha, scale=beta)]))
+    return [Transaction("probing", [step]) for step in bound_steps] \
+        + aggregations
+
+
+def _branch_box(rng, lo, up, integral):
+    """A box inside [lo, up]: fixed at a bound or inside, or shrunk."""
+    pick = rng.random()
+    if pick < 0.3:
+        v = rng.choice([lo, up])
+        return v, v
+    if integral:
+        a, b = sorted(rng.randint(math.ceil(lo), math.floor(up))
+                      for _ in range(2))
+        return float(a), float(b)
+    a, b = sorted(lo + (up - lo) * rng.random() for _ in range(2))
+    return (a, a) if pick < 0.5 else (a, b)
+
+
+class TestProbeMerge:
+    def test_equals_the_union_loop(self):
+        """Branch results with columns moved in one or both branches, and
+        columns whose global bounds are approx_eq without being equal."""
+        found = near = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            p = Problem(FLOAT)
+            for _ in range(rng.randint(2, 12)):
+                kind = rng.random()
+                if kind < 0.4:
+                    p.add_col(0, 1, 0, True)
+                elif kind < 0.6:
+                    lo = rng.randint(-5, 5)
+                    p.add_col(lo, lo + rng.randint(1, 6), 0, True)
+                elif kind < 0.8:
+                    lo = rng.uniform(-5, 5)
+                    p.add_col(lo, lo + rng.uniform(0.1, 5), 0, False)
+                else:  # approx_eq bounds that differ
+                    lo = rng.choice([0.0, 1.0, -3.0, 1e4])
+                    p.add_col(lo, lo + 5e-10 * max(1, abs(lo)), 0,
+                              rng.random() < 0.3)
+            k = 0
+            res = [{k: (float(v), float(v))} for v in (0, 1)]
+            for j in range(1, p.ncols):
+                lo, up = p.col_lower[j], p.col_upper[j]
+                near += lo != up and FLOAT.approx_eq(lo, up)
+                for branch in res:
+                    if rng.random() < 0.6:
+                        branch[j] = _branch_box(rng, lo, up,
+                                                p.col_integral[j])
+            upd = ModelUpdate(p)
+            view = PresolveView(upd.problem, upd.activities, upd.locks)
+            got = exhaustive._probe_merge(view, k, *res)
+            assert repr(got) == repr(_union_merge(view, k, *res)), seed
+            found += len(got)
+        assert found > 200 and near > 50
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +820,11 @@ class TestProbingWorkspace:
         upd = ModelUpdate(_infeasible_gadgets([10]))
         view = PresolveView(upd.problem, upd.activities, upd.locks)
         p = upd.problem
-        ws = (list(p.col_lower), list(p.col_upper))
+        ws = exhaustive._workspace(p)
         for val in (0, 1):
             assert exhaustive._probe_propagate(view, {}, 10, val, ws) is None
-            assert ws == (p.col_lower, p.col_upper)
+            assert ws[:2] == (p.col_lower, p.col_upper)
         # a feasible branch reports its moves and leaves ws as it was
         got = exhaustive._probe_propagate(view, {}, 0, 1, ws)
         assert got and got[0] == (1.0, 1.0) and got[1] == (0.0, 0.0)
-        assert ws == (p.col_lower, p.col_upper)
+        assert ws[:2] == (p.col_lower, p.col_upper)

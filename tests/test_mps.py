@@ -263,6 +263,42 @@ class TestReaderErrors:
         assert p.row_rhs[0] == INF and p.row_lhs[1] == NEG_INF
         assert (p.col_lower[0], p.col_upper[0]) == (NEG_INF, INF)
 
+    # ten lines up to the bound
+    INF_BOUND_MPS = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X OBJ 1 R1 1\n"
+                     "RHS\n RHS R1 4\nBOUNDS\n {bound}\nENDATA\n")
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("bound,lower,upper", [
+        ("UP BND X inf", 0, INF), ("UP BND X +INF", 0, INF),
+        ("UP BND X Infinity", 0, INF), ("LO BND X -inf", NEG_INF, INF),
+        ("LO BND X -Infinity", NEG_INF, INF), ("MI BND X", NEG_INF, INF)])
+    def test_infinite_literals_in_both_modes(self, tmp_path, rational, bound,
+                                             lower, upper):
+        ctx = NumericContext.rational() if rational else CTX
+        text = self.INF_BOUND_MPS.format(bound=bound)
+        p = read_mps(write_tmp(tmp_path, text), ctx)
+        assert (p.col_lower[0], p.col_upper[0]) == (lower, upper)
+        assert p.row_rhs[0] == 4 and type(p.row_rhs[0]) is type(ctx.number(4))
+
+    def test_rational_infinite_sides_and_bounds(self, tmp_path):
+        text = ("NAME t\nROWS\n N OBJ\n L R1\n G R2\nCOLUMNS\n"
+                " X R1 1 R2 1\nRHS\n RHS R1 inf R2 -inf\nBOUNDS\n"
+                " LO BND X -inf\n UP BND X inf\nENDATA\n")
+        p = read_mps(write_tmp(tmp_path, text), NumericContext.rational())
+        assert p.row_rhs[0] == INF and p.row_lhs[1] == NEG_INF
+        assert (p.col_lower[0], p.col_upper[0]) == (NEG_INF, INF)
+
+    @pytest.mark.parametrize("value,why", [
+        ("inf", "infinite"), ("-inf", "infinite"), ("-Infinity", "infinite"),
+        ("nan", "NaN"), ("NaN", "NaN"), ("-nan", "NaN")])
+    def test_rational_nan_or_infinite_columns_value(self, tmp_path, value,
+                                                    why):
+        text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X R1 1\n"
+                f" Y R1 {value}\nRHS\nENDATA\n")
+        with pytest.raises(MpsError, match="line 7") as err:
+            read_mps(write_tmp(tmp_path, text), NumericContext.rational())
+        assert why in str(err.value)
+
     def test_file_cut_before_endata(self, tmp_path):
         p = random_medium_mip(random.Random(4), 20, 15)
         whole = str(tmp_path / "whole.mps")

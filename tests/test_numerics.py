@@ -166,6 +166,21 @@ class TestParsing:
         assert RAT.parse("1e3") == 1000
         assert RAT.parse("2/3") == Fraction(2, 3)
 
+    @pytest.mark.parametrize("ctx", [FLOAT, RAT])
+    def test_infinite_literals_in_both_modes(self, ctx):
+        for text in ("inf", "+inf", "INF", "infinity", "Infinity", " inf "):
+            assert ctx.parse(text) == INF
+        for text in ("-inf", "-Infinity", "-INFINITY"):
+            assert ctx.parse(text) == NEG_INF
+        # the format of an infinite bound reads back
+        assert ctx.parse(ctx.format(INF)) == INF
+        assert ctx.parse(ctx.format(NEG_INF)) == NEG_INF
+
+    def test_rational_nan_literal_rejected(self):
+        for text in ("nan", "-NaN", "snan"):
+            with pytest.raises(ValueError):
+                RAT.parse(text)
+
     def test_format_roundtrip(self):
         for v in (0.1, -7.25, 1e-9, 123456789.123):
             assert float(FLOAT.format(v)) == v

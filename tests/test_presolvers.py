@@ -438,6 +438,80 @@ class TestSimplifyIneq:
         assert runner("simplifyineq")(view) == []
 
 
+def _unit_rows(rng, ctx):
+    """Binary and general-integer rows around unit coefficients: exact
+    units, near-units (1 + 1e-7 snaps to 1) and none, one- and two-sided."""
+    p = make_problem(ctx, [(0, rng.choice([1, 1, 3]), 0, True)
+                           for _ in range(6)], [])
+    for _ in range(8):
+        cols = rng.sample(range(6), rng.randint(2, 4))
+        coeffs = {j: rng.choice([1, -1, 2, -2, 4, 6, 3]) for j in cols}
+        if ctx.mode.value == "float64" and rng.random() < 0.3:
+            coeffs[cols[0]] = rng.choice([1 + 1e-7, -(1 + 1e-7)])
+        side = rng.randint(1, 9)
+        kind = rng.random()
+        if kind < 0.4:
+            p.add_row(coeffs, NEG_INF, side)
+        elif kind < 0.7:
+            p.add_row(coeffs, -side, INF)
+        else:
+            p.add_row(coeffs, -side, side + rng.randint(1, 5))
+    return p
+
+
+class TestUnitCoefficientExits:
+    """The gcd steps skip a row on its unit coefficients only where they
+    could not have changed it."""
+
+    @pytest.mark.parametrize("name", ["simplifyineq", "coefftightening"])
+    def test_exits_change_nothing(self, monkeypatch, name):
+        import premip.presolvers.fast as fast
+        import premip.presolvers.medium as medium
+        problems = [_unit_rows(random.Random(seed), ctx)
+                    for seed in range(150)
+                    for ctx in (CTX, NumericContext.rational())]
+        problems += [random_small_mip(random.Random(seed))
+                     for seed in range(150)]
+        with_exits = [repr(runner(name)(fresh_view(p)[1])) for p in problems]
+        assert sum(t.count("Transaction(") for t in with_exits) > 50
+        for module in (fast, medium):
+            monkeypatch.setattr(module, "has_units", lambda values, n: False)
+        assert [repr(runner(name)(fresh_view(p)[1]))
+                for p in problems] == with_exits
+
+    def test_one_unit_of_a_one_sided_row_still_drops(self):
+        # x + 2y + 4z <= 5: x is the candidate, the others' gcd is 2
+        p = make_problem(CTX, [(0, 1, 0, True)] * 3,
+                         [({0: 1, 1: 2, 2: 4}, NEG_INF, 5)])
+        txs = runner("simplifyineq")(fresh_view(p)[1])
+        changes = {(s.kind, s.col): s.value for s in txs[0].steps
+                   if not s.is_assertion()}
+        assert changes == {(StepKind.CHANGE_COEFF, 0): 0,
+                           (StepKind.CHANGE_RHS, None): 4}
+
+    def test_near_unit_coefficient_still_drops(self):
+        # (1 + 1e-7)x + 2y + 4z <= 5 drops x as x + 2y + 4z <= 5 does:
+        # 1 + 1e-7 snaps to 1 and holds no exact unit
+        p = make_problem(CTX, [(0, 1, 0, True)] * 3,
+                         [({0: 1 + 1e-7, 1: 2, 2: 4}, NEG_INF, 5)])
+        txs = runner("simplifyineq")(fresh_view(p)[1])
+        assert [s.value for s in txs[0].steps
+                if not s.is_assertion()] == [0, 4]
+        # with a second unit the others' gcd is 1: nothing to do
+        p = make_problem(CTX, [(0, 1, 0, True)] * 3,
+                         [({0: 1 + 1e-7, 1: 1, 2: 2}, NEG_INF, 3)])
+        assert runner("simplifyineq")(fresh_view(p)[1]) == []
+
+    def test_two_sided_row_without_units_rounds(self):
+        # 2y + 4z in [1, 5] rounds to [2, 4]; x + 2y in [1, 3] exits
+        p = make_problem(CTX, [(0, 1, 0, True)] * 3,
+                         [({1: 2, 2: 4}, 1, 5), ({0: 1, 1: 2}, 1, 3)])
+        txs = runner("simplifyineq")(fresh_view(p)[1])
+        assert len(txs) == 1
+        assert sorted(s.value for s in txs[0].steps
+                      if not s.is_assertion()) == [2, 4]
+
+
 class TestStuffing:
     def test_equal_ratio_singletons_fix_at_most_one(self):
         # min -x1 - x2 s.t. x1 + x2 <= 1, both continuous singletons
