@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .numerics import INF, NEG_INF, Number, NumericContext, is_finite
+from .numerics import (INF, NEG_INF, Mode, Number, NumericContext,
+                       is_finite)
 
 
 class ColState(Enum):
@@ -260,21 +261,30 @@ class RowActivities:
                 act.add_entry(i, a, problem.col_lower[j], problem.col_upper[j])
         return act
 
-    def add_entry(self, i: int, a: Number, lo: Number, up: Number,
-                  sign: int = 1) -> None:
+    def add_entry(self, i: int, a: Number, lo: Number, up: Number) -> None:
         mval, minf = _min_contribution(a, lo, up)
         xval, xinf = _max_contribution(a, lo, up)
         if minf:
-            self.n_min_inf[i] += sign
+            self.n_min_inf[i] += 1
         else:
-            self.min_sum[i] = self.min_sum[i] + sign * mval
+            self.min_sum[i] = self.min_sum[i] + mval
         if xinf:
-            self.n_max_inf[i] += sign
+            self.n_max_inf[i] += 1
         else:
-            self.max_sum[i] = self.max_sum[i] + sign * xval
+            self.max_sum[i] = self.max_sum[i] + xval
 
     def remove_entry(self, i: int, a: Number, lo: Number, up: Number) -> None:
-        self.add_entry(i, a, lo, up, sign=-1)
+        """add_entry's inverse."""
+        mval, minf = _min_contribution(a, lo, up)
+        xval, xinf = _max_contribution(a, lo, up)
+        if minf:
+            self.n_min_inf[i] -= 1
+        else:
+            self.min_sum[i] = self.min_sum[i] - mval
+        if xinf:
+            self.n_max_inf[i] -= 1
+        else:
+            self.max_sum[i] = self.max_sum[i] - xval
 
     def min_effective(self, i: int) -> Number:
         return NEG_INF if self.n_min_inf[i] > 0 else self.min_sum[i]
@@ -477,6 +487,8 @@ class ModelUpdate:
                  record: Optional[List[RecordEntry]] = None):
         self.problem = problem
         self.ctx = problem.ctx
+        # exact arithmetic: bound changes shift the activity sums
+        self.exact = problem.ctx.mode is Mode.RATIONAL
         self.activities = RowActivities.compute(problem)
         self.locks = Locks.compute(problem)
         self.flags = ModificationFlags()
@@ -581,19 +593,40 @@ class ModelUpdate:
     def _set_col_bound_raw(self, j: int, side: str, v: Number,
                            setter: Setter) -> bool:
         """Unchecked, unrecorded bound replacement (may relax); updates
-        activities."""
+        activities.
+
+        In rational mode a change between two finite values adds
+        a*(v - old) to the one sum of each row that the bound feeds: exactly
+        what removing the entry and adding it back gives.  In float64 the
+        two differ in the last bits, and presolvers read the cached sums, so
+        float64 (and any change to or from an infinite bound, which also
+        moves the infinity counts) removes the entry with its old bounds
+        and adds it with the new ones."""
         p = self.problem
-        old = p.col_lower[j] if side == "lower" else p.col_upper[j]
+        lower = side == "lower"
+        old = p.col_lower[j] if lower else p.col_upper[j]
         if old == v:
             return False
-        for i, a in p.cols[j].items():
-            self.activities.remove_entry(i, a, p.col_lower[j], p.col_upper[j])
-        if side == "lower":
+        act = self.activities
+        shift = self.exact and is_finite(old) and is_finite(v)
+        if shift:
+            delta = v - old
+            for i, a in p.cols[j].items():
+                # a lower bound gives a positive entry's minimum share
+                if (a > 0) == lower:
+                    act.min_sum[i] = act.min_sum[i] + a * delta
+                else:
+                    act.max_sum[i] = act.max_sum[i] + a * delta
+        else:
+            for i, a in p.cols[j].items():
+                act.remove_entry(i, a, p.col_lower[j], p.col_upper[j])
+        if lower:
             p.col_lower[j] = v
         else:
             p.col_upper[j] = v
         for i, a in p.cols[j].items():
-            self.activities.add_entry(i, a, p.col_lower[j], p.col_upper[j])
+            if not shift:
+                act.add_entry(i, a, p.col_lower[j], p.col_upper[j])
             self._touch_row(i)
         self.flags._mark(self.flags.col_bounds, j, setter)
         self._touch_col(j)

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Set
 
-from .numerics import NumericContext
+from .numerics import Mode, NumericContext
 
 ENV_PREFIX = "PREMIP_"
+
+# the NumericContext fields a PresolveOptions can set
+_TOLERANCES = ("epsilon", "feastol", "hugeval")
 
 # externally visible parameter names
 _PARAM_FIELDS = {
@@ -39,19 +42,37 @@ class PresolveOptions:
     abortfac: float = 8e-4
     apply_immediately: bool = False
     verbosity: int = 1
-    numeric_mode: str = "float64"
-    epsilon: float = 1e-9
-    feastol: float = 1e-6
-    hugeval: float = 1e8
+    # the numerics; None means the problem's (make_ctx: the mode's default)
+    numeric_mode: Optional[str] = None
+    epsilon: Optional[float] = None
+    feastol: Optional[float] = None
+    hugeval: Optional[float] = None
     max_rounds: int = 500
     disabled: Set[str] = field(default_factory=set)
 
     def make_ctx(self) -> NumericContext:
-        if self.numeric_mode == "rational":
-            return NumericContext.rational(hugeval=self.hugeval)
-        return NumericContext.float64(epsilon=self.epsilon,
-                                      feastol=self.feastol,
-                                      hugeval=self.hugeval)
+        """The context the numerics fields name, for reading a problem:
+        float64 unless numeric_mode says otherwise, and the mode's default
+        tolerances for the fields left None.  A rational context with a
+        nonzero tolerance raises ValueError."""
+        mode = Mode(self.numeric_mode or Mode.FLOAT64.value)
+        base = (NumericContext.rational() if mode is Mode.RATIONAL
+                else NumericContext.float64())
+        return replace(base, **{name: getattr(self, name)
+                                for name in _TOLERANCES
+                                if getattr(self, name) is not None})
+
+    def check_ctx(self, ctx: NumericContext) -> None:
+        """Raise ValueError naming the first numerics field that is set and
+        differs from ctx, the context of the problem to be presolved."""
+        fields = [("numeric_mode", self.numeric_mode, ctx.mode.value)]
+        fields += [(name, getattr(self, name), getattr(ctx, name))
+                   for name in _TOLERANCES]
+        for name, value, have in fields:
+            if value is not None and value != have:
+                raise ValueError(
+                    f"PresolveOptions.{name} is {value!r}, but the problem "
+                    f"was built with {have!r}")
 
     def resolved_threads(self) -> int:
         if self.threads == 0:

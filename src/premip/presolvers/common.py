@@ -151,7 +151,8 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
 
     `tightening_sides` tells before the call that a side cannot tighten
     the entry, and probing's row screen tells it for a whole row; callers
-    in float64 mode pass such a side as None or skip the call.  Both
+    pass such a side as None or skip the call (the slack test runs in
+    float64 only, the screen in both modes).  Both
     compare the row's slack with `slack_need`, whose docstring derives
     why the rounded cap of a dropped side could not have improved the
     bound.
@@ -203,6 +204,13 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
 GATE_RTOL = 1e-9
 
 
+def _is_whole(v: Number) -> bool:
+    """v is a finite integer; an int or Fraction has a denominator."""
+    if isinstance(v, float):
+        return v.is_integer()
+    return v.denominator == 1
+
+
 def slack_need(a: Number, lo: Number, up: Number, integral: bool,
                feastol: Number, rtol: Number) -> Number:
     """The slack below which a row side might tighten this entry's bounds
@@ -231,9 +239,17 @@ def slack_need(a: Number, lo: Number, up: Number, integral: bool,
     them), so with rtol = GATE_RTOL = 1e-9 the margin exceeds the
     kernel's rounding, and that of the test itself, a million times over:
     the rounded cap of a side the test drops stays on the non-improving
-    side of the bound.  With rtol = 0 and feastol = 0 (rationals) the
-    formula is exact.  A NaN need (0 times an infinite bound when rtol is
-    0) fails every comparison, so no side is dropped for it.
+    side of the bound.  The test and the kernel read the same cached
+    sums, whose last bits depend on the sequence of removals and additions
+    that built them; float64 keeps `ModelUpdate`'s remove-then-add
+    sequence (see `_set_col_bound_raw`), since shifting a sum by
+    a*(new-old) would change those bits and with them the kernel's
+    results.  Exact sums have no such bits: rational mode shifts them, and
+    with rtol = 0 and feastol = 0 there is no margin and the need is
+    exactly |a|*(up-lo), INF for an infinite bound.  It is never NaN (0
+    times an infinite bound): `max()` over a row's needs drops a NaN that
+    does not come first, so probing's screen could skip a row on a
+    largest need below the entry's.
 
     The need never grows when the bounds shrink inside [lo, up]: for
     lo <= lo' <= up' <= up, |lo'| + |up'| <= |lo| + |up| + (up-lo) -
@@ -243,9 +259,11 @@ def slack_need(a: Number, lo: Number, up: Number, integral: bool,
     its need in every probing branch.
     """
     mag = a if a > 0 else -a
+    if integral and not (_is_whole(lo) and _is_whole(up)):
+        return INF
+    if not rtol and not feastol:  # exact: no margin, no 0*inf
+        return mag * (up - lo)
     if integral:
-        if lo % 1 or up % 1:  # NaN for an infinite bound
-            return INF
         return mag * (up - lo - feastol + rtol * (abs(lo) + abs(up)))
     return mag * (up - lo + rtol * (abs(lo) + abs(up)))
 

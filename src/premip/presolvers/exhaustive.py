@@ -16,7 +16,7 @@ it touches.  Moving a boxed column's shares needs no finiteness test.
 The sorted entries and resolved sides of the rows it reads are kept for
 the call.
 
-In float64 two exact early exits run in front of the kernel, both built on
+Two exact early exits run in front of the kernel, both built on
 `common.slack_need`, which includes the whole step an integral column's
 bound needs.  The row screen: when a row is first read, each entry's need
 is computed from the call's global bounds, which bound its need in every
@@ -24,11 +24,16 @@ branch because a branch only shrinks bounds.  On a visit of a row with no
 infinite share, one threshold, the smaller slack of its present sides
 less the margin, is compared with those needs.  An entry whose need is
 below it is skipped, and the whole row when its largest need is; the
-threshold is recomputed after each bound change in the row.  Each unfixed
-entry the screen lets through then meets the slack test
-`tightening_sides` with its branch bounds.  Rational mode runs without
-both, as it ran without the slack test, which cost more there than the
-kernel calls it saved.
+threshold is recomputed after each bound change in the row.  In float64
+the margin is GATE_RTOL relative, and each unfixed entry the screen lets
+through then meets the slack test `tightening_sides` with its branch
+bounds.  In rational mode the screen has no margin, and there is no
+slack test, which cost more there than the kernel calls it saved.
+
+A branch's bound change moves the column's shares in its rows' scratch
+activities.  Float64 subtracts the old share and adds the new one, as
+`ModelUpdate` does for the problem's sums; rational mode, when all four
+bounds are finite, adds a times the change of each bound that moved.
 
 The merge of a candidate's two branches loops only over the columns both
 branches moved: a column moved in one branch keeps its global bounds in
@@ -59,9 +64,9 @@ SPARSIFY_PARALLEL_MIN_EQS = 512
 # _workspace).  Forked workers inherit all three, and all three are cleared
 # when the call ends.
 _VIEW: Optional[PresolveView] = None
-_SORTED_ROWS: Dict[int, Tuple[List[Tuple[int, Number, float]],
+_SORTED_ROWS: Dict[int, Tuple[List[Tuple[int, Number, Number]],
                               Optional[Number], Optional[Number],
-                              float]] = {}
+                              Number]] = {}
 _BOUNDS: Optional[Tuple[List[Number], List[Number], List[bool]]] = None
 
 
@@ -341,19 +346,16 @@ def _workspace(p) -> tuple:
                           for lo, up in zip(lower, upper)]
 
 
-def _cache_row(rows: Dict[int, tuple], p, i: int, screen: bool) -> tuple:
+def _cache_row(rows: Dict[int, tuple], p, i: int, rtol: Number) -> tuple:
     """Row i's sorted entries as (col, coeff, need), its sides with an
-    infinite one as None, and its largest need.  With screen, the need is
-    `slack_need` from the problem's bounds, the call's global ones;
-    without, it is INF, which the screen never skips."""
-    if screen:
-        lower, upper, integral = p.col_lower, p.col_upper, p.col_integral
-        feastol = p.ctx.feastol
-        entries = [(j, a, slack_need(a, lower[j], upper[j], integral[j],
-                                     feastol, GATE_RTOL))
-                   for j, a in p.row_entries(i)]
-    else:
-        entries = [(j, a, INF) for j, a in p.row_entries(i)]
+    infinite one as None, and its largest need.  The need is `slack_need`
+    from the problem's bounds, the call's global ones, with the screen's
+    rtol."""
+    lower, upper, integral = p.col_lower, p.col_upper, p.col_integral
+    feastol = p.ctx.feastol
+    entries = [(j, a, slack_need(a, lower[j], upper[j], integral[j],
+                                 feastol, rtol))
+               for j, a in p.row_entries(i)]
     row = rows[i] = (entries, finite_side(p.row_lhs[i]),
                      finite_side(p.row_rhs[i]),
                      max((need for _, _, need in entries), default=NEG_INF))
@@ -361,16 +363,21 @@ def _cache_row(rows: Dict[int, tuple], p, i: int, screen: bool) -> tuple:
 
 
 def _screen_threshold(st: list, lhs: Optional[Number],
-                      rhs: Optional[Number]) -> Number:
+                      rhs: Optional[Number], rtol: Number) -> Number:
     """The row screen's threshold for a row state with no infinite share:
     the smaller slack of the present sides less its rtol*(|side| + |sum|)
-    margin.  An entry whose need is below it cannot be tightened by the
-    row (see `common.slack_need`); with no side, nothing can."""
+    margin, none when rtol is 0.  An entry whose need is below it cannot
+    be tightened by the row (see `common.slack_need`); with no side,
+    nothing can."""
     thr = INF
     if rhs is not None:
-        thr = rhs - st[0] - GATE_RTOL * (abs(rhs) + abs(st[0]))
+        thr = rhs - st[0]
+        if rtol:
+            thr -= rtol * (abs(rhs) + abs(st[0]))
     if lhs is not None:
-        other = st[1] - lhs - GATE_RTOL * (abs(lhs) + abs(st[1]))
+        other = st[1] - lhs
+        if rtol:
+            other -= rtol * (abs(lhs) + abs(st[1]))
         if other < thr:
             thr = other
     return thr
@@ -397,14 +404,18 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
     feastol = ctx.feastol
     lower, upper, boxed = ws if ws is not None else _workspace(p)
     gate = ctx.mode is Mode.FLOAT64
+    rtol = GATE_RTOL if gate else 0
     changed: List[int] = []
     rowstate: Dict[int, list] = {}
 
     def set_bounds(j, lo, up, new_lo, new_up):
         """Move column j's shares in its rows' overlays from (lo, up) to
-        (new_lo, new_up): the old share is subtracted, then the new one
-        added, slot by slot.  A branch only shrinks bounds, so a column
-        with a finite global box has four finite bounds here."""
+        (new_lo, new_up).  In float64 the old share is subtracted, then the
+        new one added, slot by slot, as `ModelUpdate` does; in rational
+        mode, with all four bounds finite, the shares of the bounds that
+        changed move by a times the difference, which is exactly the same.
+        A branch only shrinks bounds, so a column with a finite global box
+        has four finite bounds here."""
         if boxed[j]:
             all_fin = True
         else:
@@ -414,11 +425,22 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
             # change of the count of infinite lower/upper bounds
             d_lo = (not new_lo_fin) - (not lo_fin)
             d_up = (not new_up_fin) - (not up_fin)
+        shift = all_fin and not gate
+        if shift:
+            step_lo = new_lo - lo if new_lo != lo else None
+            step_up = new_up - up if new_up != up else None
         for i, a in cols[j].items():
             st = rowstate.get(i)
             if st is None:
                 st = rowstate[i] = list(act.snapshot(i))
-            if all_fin:  # the common case, the same arithmetic
+            if shift:
+                # the lower bound gives a positive entry's minimum share
+                lo_slot = 0 if a > 0 else 1
+                if step_lo is not None:
+                    st[lo_slot] += a * step_lo
+                if step_up is not None:
+                    st[1 - lo_slot] += a * step_up
+            elif all_fin:  # the common case, the same arithmetic
                 if a > 0:
                     st[0] = st[0] - a * lo + a * new_lo
                     st[1] = st[1] - a * up + a * new_up
@@ -463,7 +485,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                 if st is None:
                     st = rowstate[i] = list(act.snapshot(i))
                 entries, lhs, rhs, top = rows.get(i) or _cache_row(rows, p, i,
-                                                                   gate)
+                                                                   rtol)
                 if rhs is not None and not ctx.feas_leq(
                         NEG_INF if st[2] else st[0], rhs):
                     return None
@@ -471,8 +493,9 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                         lhs, INF if st[3] else st[1]):
                     return None
                 # the row screen, for rows with no infinite share
-                screen = gate and not st[2] and not st[3]
-                thr = _screen_threshold(st, lhs, rhs) if screen else NEG_INF
+                screen = not st[2] and not st[3]
+                thr = _screen_threshold(st, lhs, rhs, rtol) if screen \
+                    else NEG_INF
                 if top < thr:
                     continue
                 for j, a, need in entries:
@@ -500,12 +523,12 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                         set_bounds(j, lo, up, new_lo, new_up)
                         next_affected.update(cols[j])
                         if screen:
-                            thr = _screen_threshold(st, lhs, rhs)
+                            thr = _screen_threshold(st, lhs, rhs, rtol)
             affected = next_affected
             if not affected:
                 break
         for i, st in rowstate.items():
-            _, lhs, rhs, _ = rows.get(i) or _cache_row(rows, p, i, gate)
+            _, lhs, rhs, _ = rows.get(i) or _cache_row(rows, p, i, rtol)
             if rhs is not None and not ctx.feas_leq(
                     NEG_INF if st[2] else st[0], rhs):
                 return None

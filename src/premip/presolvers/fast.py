@@ -38,10 +38,19 @@ def run_colsingleton(view: PresolveView) -> List[Transaction]:
 
 def run_coefftightening(view: PresolveView) -> List[Transaction]:
     """Shrink coefficients of integral columns in single-sided rows, then
-    normalize all-integral rows by their gcd."""
+    normalize all-integral rows by their gcd.
+
+    A row whose finite side is the rhs is read as is, one with a finite
+    lhs negated into -a.x <= -lhs.  The bounds stay put during the call,
+    so each row's candidates (integral, boxed, unfixed columns, in column
+    order) are listed once.  The loop over them runs only while the
+    maximum activity exceeds the side.  A larger coefficient shrinks to
+    the excess, which changes only with a coefficient; each candidate is
+    compared with it before the product with its range is formed."""
     p = view.problem
     ctx = view.ctx
     act = view.activities
+    integral, lower, upper = p.col_integral, p.col_lower, p.col_upper
     txs: List[Transaction] = []
     for i in view.scan_rows():
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
@@ -52,27 +61,28 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
         maxact = act.max_effective(i) if sense > 0 else -act.min_effective(i)
         if not is_finite(maxact):
             continue
-        coeffs = {j: sense * a for j, a in p.rows[i].items()}
+        row = p.rows[i]
+        coeffs = dict(row) if sense > 0 else {j: -a for j, a in row.items()}
         steps: List[ReductionStep] = []
-        changed = True
+        cands = []
+        if maxact > side and not ctx.approx_eq(maxact, side):
+            for j in sorted(coeffs):
+                lo, up = lower[j], upper[j]
+                if integral[j] and is_finite(lo) and is_finite(up) \
+                        and lo != up:
+                    cands.append((j, lo, up))
+            new_mag = maxact - side
+        changed = bool(cands)
         guard = 0
         while changed and guard < 2 * len(coeffs):
             changed = False
             guard += 1
-            for j in sorted(coeffs):
-                if not p.col_integral[j]:
-                    continue
-                lo, up = p.col_lower[j], p.col_upper[j]
-                if not (is_finite(lo) and is_finite(up)) or lo == up:
-                    continue
+            for j, lo, up in cands:
                 a = coeffs[j]
                 mag = abs(a)
-                if not (maxact > side and not ctx.approx_eq(maxact, side)):
-                    break
-                if not ctx.feas_leq(maxact - mag * (up - lo), side):
-                    continue
-                new_mag = maxact - side
                 if not new_mag < mag or ctx.approx_eq(new_mag, mag):
+                    continue
+                if not ctx.feas_leq(maxact - mag * (up - lo), side):
                     continue
                 if a > 0:
                     new_a = new_mag
@@ -84,15 +94,20 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
                 maxact = maxact - (a - new_a) * ref
                 side = new_side
                 coeffs[j] = new_a
-                steps.append(ReductionStep(StepKind.CHANGE_COEFF, row=i,
-                                           col=j, value=sense * new_a))
                 if sense > 0:
+                    steps.append(ReductionStep(StepKind.CHANGE_COEFF, row=i,
+                                               col=j, value=new_a))
                     steps.append(ReductionStep(StepKind.CHANGE_RHS, row=i,
                                                value=side))
                 else:
+                    steps.append(ReductionStep(StepKind.CHANGE_COEFF, row=i,
+                                               col=j, value=-new_a))
                     steps.append(ReductionStep(StepKind.CHANGE_LHS, row=i,
                                                value=-side))
-                changed = True
+                changed = maxact > side and not ctx.approx_eq(maxact, side)
+                if not changed:
+                    break
+                new_mag = maxact - side
         # gcd normalization of all-integral rows; a unit coefficient makes
         # the gcd 1
         if all(p.col_integral[j] for j in coeffs) \

@@ -116,6 +116,7 @@ _TIER_INCLUDES = {
 
 class _Driver:
     def __init__(self, problem: Problem, options: PresolveOptions, log=None):
+        options.check_ctx(problem.ctx)
         self.options = options
         self.log = log
         self.reduced = problem.copy()
@@ -272,7 +273,9 @@ class _Driver:
 
 def presolve(problem: Problem, options: Optional[PresolveOptions] = None,
              log=None) -> PresolveResult:
-    """Run the full presolving loop on a copy of the problem."""
+    """Run the full presolving loop on a copy of the problem, in the
+    problem's numerics.  A numerics field of options that is set must
+    agree with them, else ValueError."""
     options = options or PresolveOptions()
     return _Driver(problem, options, log).run()
 

@@ -21,7 +21,7 @@ from premip.presolvers.common import (GATE_RTOL, finite_side,
 from premip.transactions import (ReductionStep, StepKind, Transaction,
                                  assert_col_bounds)
 
-from conftest import random_medium_mip
+from conftest import random_medium_mip, to_rational
 from test_acceptance import probing_chain_instance
 
 FLOAT = NumericContext.float64()
@@ -394,7 +394,8 @@ class TestProbingScreen:
     def test_need_below_threshold_cannot_tighten(self, case):
         state, a, lo, up, sub_lo, sub_up, lhs, rhs, integral = case
         need = slack_need(a, lo, up, integral, FLOAT.feastol, GATE_RTOL)
-        if not need < exhaustive._screen_threshold(list(state), lhs, rhs):
+        if not need < exhaustive._screen_threshold(list(state), lhs, rhs,
+                                                   GATE_RTOL):
             return
         lower, upper = implied_bounds(FLOAT, state, a, sub_lo, sub_up, lhs,
                                       rhs, integral)
@@ -403,25 +404,28 @@ class TestProbingScreen:
     def test_skips_a_binary_whose_cap_sits_on_its_bound(self):
         # 10*x0 - x1 - ... - x10 <= 0 with x0's cap exactly 1
         st_ = [-10.0, 10.0, 0, 0]
-        thr = exhaustive._screen_threshold(st_, None, 0.0)
+        thr = exhaustive._screen_threshold(st_, None, 0.0, GATE_RTOL)
         assert slack_need(10.0, 0.0, 1.0, True, FLOAT.feastol,
                           GATE_RTOL) < thr
         assert not slack_need(10.0, 0.0, 1.0, False, FLOAT.feastol,
                               GATE_RTOL) < thr
         # with one window entry fixed to 0, x0 can reach 0: no skip
-        thr = exhaustive._screen_threshold([-9.0, 10.0, 0, 0], None, 0.0)
+        thr = exhaustive._screen_threshold([-9.0, 10.0, 0, 0], None, 0.0,
+                                           GATE_RTOL)
         assert not slack_need(10.0, 0.0, 1.0, True, FLOAT.feastol,
                               GATE_RTOL) < thr
 
     def test_probing_equals_probing_without_early_exits(self, monkeypatch):
         """run_probing's transactions with the screen and the slack test
-        equal those of every entry going to the kernel."""
+        equal those of every entry going to the kernel, in float64 and in
+        rational mode, where the screen runs with zero margin."""
         instances = [probing_chain_instance(60)]
         for seed in range(4):
             instances.append(_open_bounds(
                 random_medium_mip(random.Random(seed), 60, 40),
                 random.Random(seed)))
             instances.append(random_medium_mip(random.Random(seed), 60, 40))
+        instances += [to_rational(p) for p in instances]
 
         def probe_all():
             out = []
@@ -436,11 +440,38 @@ class TestProbingScreen:
 
         screened = probe_all()
         assert sum(t.count("Transaction(") for t in screened) > 100
+        assert sum(t.count("Fraction(") for t in screened) > 100
         monkeypatch.setattr(exhaustive, "_screen_threshold",
-                            lambda st_, lhs, rhs: NEG_INF)
+                            lambda st_, lhs, rhs, rtol: NEG_INF)
         monkeypatch.setattr(exhaustive, "tightening_sides",
                             lambda st_, a, lo, up, lhs, rhs, *rest: (lhs, rhs))
         assert probe_all() == screened
+
+    @pytest.mark.parametrize("ctx", [FLOAT, RATIONAL], ids=["float64",
+                                                            "rational"])
+    def test_row_with_an_open_column_made_finite_is_read(self, ctx):
+        """y - 10*x0 <= 0 and z + y <= 5 with y in [0, inf), z in [0, 1]:
+        x0 = 1 gives y <= 10, which leaves the second row without an
+        infinite share, and that row then gives y <= 5.  y's need from its
+        global bounds is INF, never NaN, so the row's largest need is INF
+        and the screen reads the row; a NaN after z's need 1 would have
+        been dropped by max() and the row skipped for its threshold 5."""
+        p = Problem(ctx)
+        p.add_col(0, 1, 0, True)
+        p.add_col(0, 1, 0, False)
+        p.add_col(0, INF, 0, False)
+        p.add_row({0: -10, 2: 1}, NEG_INF, 0)
+        p.add_row({1: 1, 2: 1}, NEG_INF, 5)
+        rtol = GATE_RTOL if ctx is FLOAT else 0
+        rows = {}
+        entries, _, _, top = exhaustive._cache_row(rows, p, 1, rtol)
+        assert entries[1][2] == INF and top == INF
+        upd = ModelUpdate(p)
+        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        assert exhaustive._probe_propagate(view, rows, 0, 1) == {
+            0: (1, 1), 2: (0, 5)}
+        if ctx is RATIONAL:
+            assert _reference_probe(p, 0, 1) == {0: (1, 1), 2: (0, 5)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import (make_problem, random_medium_mip, random_mixed_mip,
                       to_rational)
 
 CTX = NumericContext.float64()
+RATIONAL = NumericContext.rational()
 SETTER = (0, "test")
 
 
@@ -106,6 +108,37 @@ class TestActivities:
                     assert abs(fresh.max_sum[i] - upd.activities.max_sum[i]) < 1e-9
                     assert fresh.n_min_inf[i] == upd.activities.n_min_inf[i]
                     assert fresh.n_max_inf[i] == upd.activities.n_max_inf[i]
+        # rational input: bounds move both ways, between finite values
+        # (the shifted sums) and to and from infinity; the sums stay exact
+        rng = random.Random(4)
+        total_changes = 0
+        while total_changes < 1000:
+            ncols = rng.randint(2, 6)
+            p = Problem(RATIONAL)
+            for _ in range(ncols):
+                p.add_col(rng.choice([NEG_INF, -3, 0]),
+                          rng.choice([INF, 2, 5]), 0, integral=False)
+            for _ in range(rng.randint(1, 4)):
+                cols = rng.sample(range(ncols), rng.randint(1, ncols))
+                p.add_row({j: Fraction(rng.choice([-5, -2, 1, 3]),
+                                       rng.choice([1, 2, 3])) for j in cols},
+                          NEG_INF, 100)
+            upd = ModelUpdate(p)
+            for _ in range(rng.randint(1, 10)):
+                j = rng.randrange(ncols)
+                lo, up = p.col_lower[j], p.col_upper[j]
+                v = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 7]))
+                if rng.random() < 0.5:
+                    side = "lower"
+                    v = NEG_INF if rng.random() < 0.2 else min(v, up)
+                else:
+                    side = "upper"
+                    v = INF if rng.random() < 0.2 else max(v, lo)
+                upd._set_col_bound_raw(j, side, v, SETTER)
+                total_changes += 1
+                fresh = RowActivities.compute(p)
+                for i in p.active_rows():
+                    assert upd.activities.snapshot(i) == fresh.snapshot(i)
 
 
 class TestLocks:

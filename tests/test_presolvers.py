@@ -1,14 +1,19 @@
 import random
 
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
+import premip.presolvers.fast as fast
 from premip import NumericContext, apply_all
 from premip.model import (ColState, InfeasibleError, ModelUpdate,
                           UnboundedError)
-from premip.numerics import INF, NEG_INF
+from premip.numerics import INF, NEG_INF, is_finite
 from premip.presolvers import (PRESOLVER_NAMES, PresolveView, REGISTRY,
                                Tier, run_trivial, runner)
-from premip.transactions import StepKind, TxStatus
+from premip.presolvers.common import (coeff_gcd, has_units,
+                                      integral_coeffs)
+from premip.transactions import (ReductionStep, StepKind, Transaction,
+                                 TxStatus, assert_row, assert_row_bounds)
 
 from conftest import (brute_force, brute_force_mixed, late_structure_mip,
                       make_problem, presolver_soundness_check,
@@ -16,6 +21,7 @@ from conftest import (brute_force, brute_force_mixed, late_structure_mip,
                       run_one_presolver)
 
 CTX = NumericContext.float64()
+RATIONAL = NumericContext.rational()
 
 
 def fresh_view(problem):
@@ -99,6 +105,171 @@ class TestCoeffTightening:
         from fractions import Fraction
         assert upd.problem.rows[0] == {0: Fraction(1), 1: Fraction(1)}
         assert upd.problem.row_rhs[0] == 1
+
+
+def _coefftightening_before_hoisting(view):
+    """run_coefftightening as it was before its loop was hoisted: sense * a
+    per entry, and the candidate filters and the activity test on every
+    pass."""
+    p = view.problem
+    ctx = view.ctx
+    act = view.activities
+    txs = []
+    for i in view.scan_rows():
+        lhs, rhs = p.row_lhs[i], p.row_rhs[i]
+        if is_finite(lhs) == is_finite(rhs):
+            continue
+        sense = 1 if is_finite(rhs) else -1
+        side = rhs if sense > 0 else -lhs
+        maxact = act.max_effective(i) if sense > 0 else -act.min_effective(i)
+        if not is_finite(maxact):
+            continue
+        coeffs = {j: sense * a for j, a in p.rows[i].items()}
+        steps = []
+        changed = True
+        guard = 0
+        while changed and guard < 2 * len(coeffs):
+            changed = False
+            guard += 1
+            for j in sorted(coeffs):
+                if not p.col_integral[j]:
+                    continue
+                lo, up = p.col_lower[j], p.col_upper[j]
+                if not (is_finite(lo) and is_finite(up)) or lo == up:
+                    continue
+                a = coeffs[j]
+                mag = abs(a)
+                if not (maxact > side and not ctx.approx_eq(maxact, side)):
+                    break
+                if not ctx.feas_leq(maxact - mag * (up - lo), side):
+                    continue
+                new_mag = maxact - side
+                if not new_mag < mag or ctx.approx_eq(new_mag, mag):
+                    continue
+                if a > 0:
+                    new_a = new_mag
+                    ref = up
+                else:
+                    new_a = -new_mag
+                    ref = lo
+                new_side = side - (a - new_a) * ref
+                maxact = maxact - (a - new_a) * ref
+                side = new_side
+                coeffs[j] = new_a
+                steps.append(ReductionStep(StepKind.CHANGE_COEFF, row=i,
+                                           col=j, value=sense * new_a))
+                if sense > 0:
+                    steps.append(ReductionStep(StepKind.CHANGE_RHS, row=i,
+                                               value=side))
+                else:
+                    steps.append(ReductionStep(StepKind.CHANGE_LHS, row=i,
+                                               value=-side))
+                changed = True
+        if all(p.col_integral[j] for j in coeffs) \
+                and not has_units(coeffs.values(), 1):
+            as_ints = integral_coeffs(ctx, sorted(coeffs.items()))
+            if as_ints is not None and len(as_ints) > 0:
+                g = coeff_gcd(ctx, [v for _, v in as_ints])
+                if g != 0 and g != 1:
+                    new_side = ctx.floor(side / g)
+                    for j, v in as_ints:
+                        steps.append(ReductionStep(
+                            StepKind.CHANGE_COEFF, row=i, col=j,
+                            value=sense * (v / g)))
+                    if sense > 0:
+                        steps.append(ReductionStep(StepKind.CHANGE_RHS,
+                                                   row=i, value=new_side))
+                    else:
+                        steps.append(ReductionStep(StepKind.CHANGE_LHS,
+                                                   row=i, value=-new_side))
+        if steps:
+            txs.append(Transaction("coefftightening",
+                                   [assert_row(i), assert_row_bounds(i)]
+                                   + steps))
+    return txs
+
+
+@st.composite
+def coefftightening_problems(draw):
+    """Rows over integral columns with a box, a fixed value or an open
+    bound, and continuous columns, in float64 or rationals.  Most rows
+    have one finite side, a little inside the row's extreme activity, so
+    coefficients shrink, often more than once; a common factor gives rows
+    for the gcd step, and two-sided and free rows are skipped."""
+    ctx = draw(st.sampled_from([CTX, RATIONAL]))
+    n = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(n):
+        lo = draw(st.integers(-3, 3))
+        kind = draw(st.sampled_from(["box", "box", "box", "fixed", "open",
+                                     "continuous"]))
+        if kind == "open":
+            lo, up = draw(st.sampled_from([(NEG_INF, lo), (lo, INF)]))
+        else:
+            up = lo if kind == "fixed" else lo + draw(st.integers(1, 4))
+        cols.append((lo, up, 0, kind != "continuous"))
+    p = make_problem(ctx, cols, [])
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=n, unique=True))
+        factor = draw(st.sampled_from([1, 1, 2, 3, 0.5]))
+        coeffs = {j: factor * draw(st.integers(1, 12))
+                  * draw(st.sampled_from([1, -1])) for j in support}
+        top = bottom = 0
+        for j, a in coeffs.items():
+            lo, up = cols[j][:2]
+            top += a * (up if a > 0 else lo)
+            bottom += a * (lo if a > 0 else up)
+        gap = draw(st.integers(0, 15)) * draw(st.sampled_from([1, 0.5]))
+        rhs = top - gap if is_finite(top) else draw(st.integers(-5, 5))
+        lhs = bottom + gap if is_finite(bottom) else draw(st.integers(-5, 5))
+        kind = draw(st.sampled_from(["rhs", "rhs", "lhs", "lhs", "both",
+                                     "free"]))
+        p.add_row(coeffs, lhs if kind in ("lhs", "both") else NEG_INF,
+                  rhs if kind in ("rhs", "both") else INF)
+    return p
+
+
+def _lhs_row_tightened_twice(p, txs):
+    """Some transaction shrinks two coefficients of a row with an lhs and
+    two or more entries.  Each shrink is a coefficient step followed by a
+    side step; the gcd step's coefficient steps come in one run."""
+    coeff, lhs = StepKind.CHANGE_COEFF, StepKind.CHANGE_LHS
+    for tx in txs:
+        s = tx.steps
+        shrinks = sum(1 for k in range(1, len(s) - 1)
+                      if s[k].kind is coeff and s[k + 1].kind is lhs
+                      and s[k - 1].kind is not coeff)
+        if shrinks >= 2 and len(p.rows[s[-1].row]) >= 2:
+            return True
+    return False
+
+
+def _gcd_step(txs):
+    return any(a.kind is b.kind is StepKind.CHANGE_COEFF
+               for tx in txs for a, b in zip(tx.steps, tx.steps[1:]))
+
+
+class TestCoeffTighteningLoop:
+    @settings(max_examples=800, deadline=None)
+    @given(coefftightening_problems())
+    def test_equals_the_loop_before_hoisting(self, p):
+        _, view = fresh_view(p)
+        assert repr(fast.run_coefftightening(view)) \
+            == repr(_coefftightening_before_hoisting(view))
+
+    @pytest.mark.parametrize("ctx", [CTX, RATIONAL],
+                             ids=["float64", "rational"])
+    def test_problems_reach_double_shrinks_and_gcd_rows(self, ctx):
+        def txs(p):
+            return _coefftightening_before_hoisting(fresh_view(p)[1])
+
+        problems = coefftightening_problems().filter(lambda p: p.ctx is ctx)
+        quick = settings(database=None, max_examples=2000,
+                         phases=[Phase.generate])
+        find(problems, lambda p: _lhs_row_tightened_twice(p, txs(p)),
+             settings=quick)
+        find(problems, lambda p: _gcd_step(txs(p)), settings=quick)
 
 
 class TestPropagation:

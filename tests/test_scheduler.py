@@ -129,6 +129,51 @@ class TestPresolveDriver:
             assert total < 500, "round cap reached; loop did not converge"
 
 
+class TestNumericsOptions:
+    """presolve runs in the problem's numerics; PresolveOptions' numerics
+    fields default to None and, when set, must agree with them."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("feastol", 1e-4), ("epsilon", 1e-10), ("hugeval", 1e6),
+        ("numeric_mode", "rational")])
+    def test_disagreeing_field_is_named(self, field, value):
+        p = random_small_mip(random.Random(1))
+        options = PresolveOptions(**{field: value})
+        for run in (presolve, presolve_sequential_immediate):
+            with pytest.raises(ValueError, match=f"PresolveOptions.{field}"):
+                run(p, options)
+
+    def test_rational_problem_with_float_tolerance(self):
+        p = to_rational(random_small_mip(random.Random(1)))
+        with pytest.raises(ValueError, match="PresolveOptions.feastol"):
+            presolve(p, PresolveOptions(numeric_mode="rational",
+                                        feastol=1e-6))
+
+    def test_matching_fields_run_as_unset_ones(self):
+        for p, options in (
+                (random_small_mip(random.Random(2)),
+                 PresolveOptions(numeric_mode="float64", epsilon=1e-9,
+                                 feastol=1e-6, hugeval=1e8)),
+                (to_rational(random_small_mip(random.Random(2))),
+                 PresolveOptions(numeric_mode="rational", epsilon=0,
+                                 feastol=0, hugeval=1e8))):
+            got = presolve(p, options)
+            want = presolve(p, PresolveOptions())
+            assert got.problem.stable_hash() == want.problem.stable_hash()
+            assert repr(got.record.entries) == repr(want.record.entries)
+            assert (got.record.epsilon, got.record.feastol) == (
+                p.ctx.epsilon, p.ctx.feastol)
+
+    def test_make_ctx_fills_in_the_defaults(self):
+        assert PresolveOptions().make_ctx() == NumericContext.float64()
+        assert PresolveOptions(numeric_mode="rational").make_ctx() \
+            == NumericContext.rational()
+        assert PresolveOptions(feastol=1e-4).make_ctx() \
+            == NumericContext.float64(feastol=1e-4)
+        with pytest.raises(ValueError):
+            PresolveOptions(numeric_mode="rational", epsilon=1e-9).make_ctx()
+
+
 class TestTierBookkeeping:
     def _round_tiers(self, problem, options=None):
         log, buf = capture_log(2)
