@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .numerics import (INF, NEG_INF, Mode, Number, NumericContext,
+from .numerics import (INF, NEG_INF, Mode, Number, NumericContext, div,
                        is_finite)
 
 
@@ -262,29 +262,28 @@ class RowActivities:
         return act
 
     def add_entry(self, i: int, a: Number, lo: Number, up: Number) -> None:
-        mval, minf = _min_contribution(a, lo, up)
-        xval, xinf = _max_contribution(a, lo, up)
-        if minf:
+        # the sign is decided once: a positive entry's minimum share is a*lo
+        low, high = (lo, up) if a > 0 else (up, lo)
+        if is_finite(low):
+            self.min_sum[i] = self.min_sum[i] + a * low
+        else:
             self.n_min_inf[i] += 1
+        if is_finite(high):
+            self.max_sum[i] = self.max_sum[i] + a * high
         else:
-            self.min_sum[i] = self.min_sum[i] + mval
-        if xinf:
             self.n_max_inf[i] += 1
-        else:
-            self.max_sum[i] = self.max_sum[i] + xval
 
     def remove_entry(self, i: int, a: Number, lo: Number, up: Number) -> None:
         """add_entry's inverse."""
-        mval, minf = _min_contribution(a, lo, up)
-        xval, xinf = _max_contribution(a, lo, up)
-        if minf:
+        low, high = (lo, up) if a > 0 else (up, lo)
+        if is_finite(low):
+            self.min_sum[i] = self.min_sum[i] - a * low
+        else:
             self.n_min_inf[i] -= 1
+        if is_finite(high):
+            self.max_sum[i] = self.max_sum[i] - a * high
         else:
-            self.min_sum[i] = self.min_sum[i] - mval
-        if xinf:
             self.n_max_inf[i] -= 1
-        else:
-            self.max_sum[i] = self.max_sum[i] - xval
 
     def min_effective(self, i: int) -> Number:
         return NEG_INF if self.n_min_inf[i] > 0 else self.min_sum[i]
@@ -788,7 +787,7 @@ class ModelUpdate:
         for r, arj in p.cols[j].items():
             if r == i:
                 continue
-            factor = arj / piv
+            factor = div(arj, piv)
             delta -= 1  # column j leaves row r
             for k, aik in eq_entries:
                 old = p.rows[r].get(k)
@@ -820,7 +819,7 @@ class ModelUpdate:
         piv = dict(coeffs)[j]
         eq_entries = [(k, v) for k, v in coeffs if k != j]
         for r in sorted(k for k in p.cols[j] if k != i):
-            factor = p.rows[r][j] / piv
+            factor = div(p.rows[r][j], piv)
             self._remove_entry(r, j)
             for k, aik in eq_entries:
                 new = p.rows[r].get(k, ctx.number(0)) - factor * aik
@@ -835,9 +834,9 @@ class ModelUpdate:
             self._check_empty_row(r)
         cj = p.obj[j]
         if cj != 0:
-            p.obj_offset = p.obj_offset + cj * b / piv
+            p.obj_offset = p.obj_offset + div(cj * b, piv)
             for k, aik in eq_entries:
-                p.obj[k] = p.obj[k] - cj * aik / piv
+                p.obj[k] = p.obj[k] - div(cj * aik, piv)
             p.obj[j] = ctx.number(0)
         return piv
 
@@ -869,11 +868,11 @@ class ModelUpdate:
         self._substitute(j, -1, self._pair_equation(j, k, beta), alpha, setter)
         # bounds of x_j imply bounds on x_k
         if beta > 0:
-            imp_lo = (lo - alpha) / beta if is_finite(lo) else NEG_INF
-            imp_up = (up - alpha) / beta if is_finite(up) else INF
+            imp_lo = div(lo - alpha, beta) if is_finite(lo) else NEG_INF
+            imp_up = div(up - alpha, beta) if is_finite(up) else INF
         else:
-            imp_lo = (up - alpha) / beta if is_finite(up) else NEG_INF
-            imp_up = (lo - alpha) / beta if is_finite(lo) else INF
+            imp_lo = div(up - alpha, beta) if is_finite(up) else NEG_INF
+            imp_up = div(lo - alpha, beta) if is_finite(lo) else INF
         if p.col_integral[k]:
             imp_lo = ctx.round_up_bound(imp_lo)
             imp_up = ctx.round_down_bound(imp_up)

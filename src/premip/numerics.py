@@ -1,10 +1,15 @@
 """Number handling shared by every other module.
 
-All model data (coefficients, bounds, sides, activities) is either a Python
-float (FLOAT64 mode) or a fractions.Fraction (RATIONAL mode).  Infinite
-bounds are represented by math.inf / -math.inf in both modes; mixed
-Fraction/inf arithmetic and comparisons behave correctly in CPython, and
-finite rational arithmetic never leaves Fraction.
+All model data (coefficients, bounds, sides, activities) is a Python float
+in FLOAT64 mode.  In RATIONAL mode a finite value is an int when it is
+integral and a fractions.Fraction when it is not, and never a float: int
+arithmetic runs in C, Fraction arithmetic in Python code.  int is a
+numbers.Rational, so the two mix exactly; 3 == Fraction(3), both hash
+alike and str() gives "3" for both.  Sums and products of the two stay
+exact, but int / int gives a float, so every division of model numbers
+goes through `div`.  Infinite bounds are represented by math.inf /
+-math.inf in both modes; mixed int/Fraction/inf arithmetic and
+comparisons behave correctly in CPython.
 
 A NumericContext carries the mode plus the comparison tolerances.  In
 RATIONAL mode both tolerances are zero, so every comparison is exact.
@@ -35,11 +40,29 @@ def is_finite(v: Number) -> bool:
     return True
 
 
-def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
+def div(a: Number, b: Number) -> Number:
+    """a / b, exact for two ints: their quotient as an int when b divides
+    a, else as a Fraction.  Any other operands give a / b, which is exact
+    when one of them is a Fraction and IEEE division for floats."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return a / b
+
+
+def exact(v: Union[str, Number]) -> Number:
+    """A finite rational literal or value as rational mode stores it: an
+    int when it is integral, else a Fraction.  Text that is no rational
+    literal raises ValueError (or ZeroDivisionError for 'p/0')."""
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
+
+
+def rational_gcd(a: Number, b: Number) -> Number:
     """gcd extended to rationals: largest g with a/g and b/g integral."""
     a, b = abs(Fraction(a)), abs(Fraction(b))
     num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
+    return exact(Fraction(num, a.denominator * b.denominator))
 
 
 @dataclass(frozen=True)
@@ -84,12 +107,16 @@ class NumericContext:
         text = text.strip()
         if self.mode is Mode.RATIONAL:
             try:
-                return Fraction(text)
+                return int(text)
+            except ValueError:
+                pass
+            try:
+                return exact(text)
             except ValueError:
                 value = Decimal(text)
                 if value.is_infinite():
                     return NEG_INF if value.is_signed() else INF
-                return Fraction(value)
+                return exact(value)
         return float(text)
 
     def number(self, v: Number) -> Number:
@@ -97,7 +124,7 @@ class NumericContext:
         if not is_finite(v):
             return v
         if self.mode is Mode.RATIONAL:
-            return Fraction(v)
+            return v if type(v) is int else exact(v)
         return float(v)
 
     def format(self, v: Number) -> str:
@@ -105,9 +132,7 @@ class NumericContext:
             return "inf"
         if v == NEG_INF:
             return "-inf"
-        if isinstance(v, Fraction):
-            return str(v)
-        if isinstance(v, int):
+        if isinstance(v, (int, Fraction)):
             return str(v)
         return repr(float(v))
 
@@ -146,7 +171,7 @@ class NumericContext:
 
     def is_integral(self, v: Number) -> bool:
         """Distance to the nearest integer is within feastol (0 if rational)."""
-        if isinstance(v, Fraction):
+        if not isinstance(v, float):  # an int or a Fraction
             if self.feastol == 0:
                 return v.denominator == 1
             return abs(v - round(v)) <= self.feastol
@@ -168,7 +193,7 @@ class NumericContext:
         """Round an upper bound inward for an integral column."""
         if not is_finite(v):
             return v
-        if self.feastol == 0:  # exact: no Fraction addition
+        if self.feastol == 0:  # exact: no addition
             return self._from_int(math.floor(v))
         return self._from_int(math.floor(v + self.feastol))
 
@@ -182,7 +207,7 @@ class NumericContext:
     def _from_int(self, v: int) -> Number:
         """number() of an int, which is always finite."""
         if self.mode is Mode.RATIONAL:
-            return Fraction(v)
+            return v
         return float(v)
 
     # -- derived thresholds -------------------------------------------------
@@ -198,7 +223,7 @@ class NumericContext:
     def markowitz_threshold(self) -> Number:
         """Pivot acceptability ratio for substitutions (0 = any nonzero)."""
         if self.mode is Mode.RATIONAL:
-            return Fraction(0)
+            return 0
         return 1e-2
 
 

@@ -7,6 +7,7 @@ integrity check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -14,7 +15,7 @@ from .model import (AggregateEntry, BoundChangeEntry, CoeffChangeEntry,
                     FixEntry, FreeSingletonEntry, ImplyIntegralEntry,
                     ModelUpdate, Problem, RedundantRowEntry, SideChangeEntry,
                     SubstituteEntry)
-from .numerics import (INF, NEG_INF, Number, NumericContext, is_finite)
+from .numerics import (INF, NEG_INF, Number, NumericContext, div, is_finite)
 from .transactions import PostsolveRecord
 
 
@@ -82,7 +83,7 @@ def postsolve_primal(record: PostsolveRecord,
                     rest = rest + a * need(k, idx)
             if piv is None or piv == 0:
                 raise PostsolveError("substitution without a pivot", idx)
-            v = (e.rhs - rest) / piv
+            v = div(e.rhs - rest, piv)
             check_domain(e.col, v, e.lb, e.ub, idx)
             values[e.col] = v
         elif isinstance(e, FreeSingletonEntry):
@@ -90,11 +91,11 @@ def postsolve_primal(record: PostsolveRecord,
             for k, a in e.rest:
                 rest = rest + a * need(k, idx)
             if e.coeff > 0:
-                lo_cap = (e.lhs - rest) / e.coeff if is_finite(e.lhs) else NEG_INF
-                up_cap = (e.rhs - rest) / e.coeff if is_finite(e.rhs) else INF
+                lo_cap = div(e.lhs - rest, e.coeff) if is_finite(e.lhs) else NEG_INF
+                up_cap = div(e.rhs - rest, e.coeff) if is_finite(e.rhs) else INF
             else:
-                lo_cap = (e.rhs - rest) / e.coeff if is_finite(e.rhs) else NEG_INF
-                up_cap = (e.lhs - rest) / e.coeff if is_finite(e.lhs) else INF
+                lo_cap = div(e.rhs - rest, e.coeff) if is_finite(e.rhs) else NEG_INF
+                up_cap = div(e.lhs - rest, e.coeff) if is_finite(e.lhs) else INF
             lo = max(lo_cap, e.lb)
             up = min(up_cap, e.ub)
             if not ctx.feas_leq(lo, up):
@@ -120,13 +121,12 @@ def postsolve_primal(record: PostsolveRecord,
             lo = min(max(e.kept_lb, lo_cap), hi)
             if ctx.is_integral(s) and abs(s) > 1:
                 # step down to the nearest split point divisible by the scale
-                import math
-                q = (y - hi) / s
+                q = div(y - hi, s)
                 steps = math.ceil(q) if s > 0 else math.floor(q)
                 x = y - s * ctx.number(steps)
             else:
                 x = hi
-            g = (y - x) / s
+            g = div(y - x, s)
             check_domain(e.kept, x, e.kept_lb, e.kept_ub, idx)
             check_domain(e.gone, g, e.gone_lb, e.gone_ub, idx)
             values[e.kept] = x

@@ -4,11 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..model import Locks, Problem, RowActivities
-from ..numerics import (INF, NEG_INF, Mode, Number, NumericContext,
+from ..numerics import (INF, NEG_INF, Mode, Number, NumericContext, div,
                         is_finite, rational_gcd)
 from ..transactions import Transaction
 
@@ -86,29 +85,29 @@ RunFn = Callable[[PresolveView], List[Transaction]]
 
 def integral_coeffs(ctx: NumericContext,
                     entries: List[Tuple[int, Number]]) -> Optional[List[Tuple[int, Number]]]:
-    """Snap coefficients to integers; None if any is non-integral."""
-    out = []
-    for j, a in entries:
-        if isinstance(a, Fraction):
+    """Snap coefficients to integers; None if any is non-integral.  An
+    exact coefficient (int or Fraction) is kept as it is."""
+    if ctx.mode is Mode.RATIONAL:
+        for _, a in entries:
             if a.denominator != 1:
                 return None
-            out.append((j, a))
-        else:
-            if not ctx.is_integral(a):
-                return None
-            out.append((j, ctx.round(a)))
+        return list(entries)
+    out = []
+    for j, a in entries:
+        if not ctx.is_integral(a):
+            return None
+        out.append((j, ctx.round(a)))
     return out
 
 
 def coeff_gcd(ctx: NumericContext, values: List[Number]) -> Number:
     """gcd of coefficient magnitudes; exact for rationals, snapped floats."""
     if ctx.mode is Mode.RATIONAL:
-        if all(isinstance(v, Fraction) and v.denominator == 1
-               for v in values):
-            return Fraction(math.gcd(*(v.numerator for v in values)))
-        g = Fraction(0)
+        if all(v.denominator == 1 for v in values):
+            return math.gcd(*(v.numerator for v in values))
+        g = 0
         for v in values:
-            g = rational_gcd(g, Fraction(v))
+            g = rational_gcd(g, v)
         return g
     g = 0
     for v in values:
@@ -151,11 +150,11 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
 
     `tightening_sides` tells before the call that a side cannot tighten
     the entry, and probing's row screen tells it for a whole row; callers
-    pass such a side as None or skip the call (the slack test runs in
-    float64 only, the screen in both modes).  Both
-    compare the row's slack with `slack_need`, whose docstring derives
-    why the rounded cap of a dropped side could not have improved the
-    bound.
+    pass such a side as None or skip the call (`run_propagation` runs the
+    slack test in both modes, probing in float64 only; the screen runs in
+    both modes).  Both compare the row's slack with `slack_need`, whose
+    docstring derives why the rounded cap of a dropped side could not
+    have improved the bound.
 
     Some bound arithmetic stays outside this kernel on purpose:
     - trivial presolve's singleton rows and DoubletonEq compute from sides
@@ -169,7 +168,7 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
       the old and new bounds once per bound change instead of once per row.
     """
     min_sum, max_sum, n_min_inf, n_max_inf = state
-    positive = a > 0  # compared once: slow for a Fraction
+    positive = a > 0  # compared once
     lower, upper = NEG_INF, INF
     if rhs is not None:
         # minimum activity without this entry, whose share is a*lo or a*up;
@@ -180,7 +179,7 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
         else:
             res = min_sum if n_min_inf <= 1 else None
         if res is not None and is_finite(res):
-            cap = (rhs - res) / a
+            cap = div(rhs - res, a)
             if positive:
                 upper = ctx.round_down_bound(cap) if integral else cap
             else:
@@ -192,7 +191,7 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
         else:
             res = max_sum if n_max_inf <= 1 else None
         if res is not None and is_finite(res):
-            cap = (lhs - res) / a
+            cap = div(lhs - res, a)
             if positive:
                 lower = ctx.round_up_bound(cap) if integral else cap
             else:

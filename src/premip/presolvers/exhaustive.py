@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..model import InfeasibleError
 from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
-                        bound_improves_upper, is_finite)
+                        bound_improves_upper, div, is_finite)
 from ..parallel import chunk_evenly, fork_map
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
@@ -111,9 +111,9 @@ def run_implint(view: PresolveView) -> List[Transaction]:
         if abs(piv) < 1:
             continue  # unit coefficient up to an integral row scale only
         b = p.row_lhs[i]
-        if not ctx.is_integral(b / piv):
+        if not ctx.is_integral(div(b, piv)):
             continue
-        if all(ctx.is_integral(a / piv) for k, a in entries if k != j):
+        if all(ctx.is_integral(div(a, piv)) for k, a in entries if k != j):
             txs.append(Transaction("implint", [
                 assert_row(i), assert_row_bounds(i),
                 ReductionStep(StepKind.IMPLY_INTEGRAL, col=j)]))
@@ -293,8 +293,8 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
                 lo, up = ylb[i], yub[i]
                 lower, upper = implied_bounds(ctx, (mn, mx, n_mn, n_mx), a,
                                               lo, up, lhs, rhs, False)
-                # INF/NEG_INF mean no bound; skipping them saves slow
-                # Fraction comparisons
+                # INF/NEG_INF mean no bound; skipping them saves
+                # comparisons with an infinity
                 if upper is not INF and upper < up:
                     yub[i] = upper
                 if lower is not NEG_INF and lower > lo:
@@ -659,9 +659,9 @@ def run_substitution(view: PresolveView) -> List[Transaction]:
             if p.col_integral[j]:
                 if not all(p.col_integral[k] for k, _ in entries if k != j):
                     continue
-                if not ctx.is_integral(b / a):
+                if not ctx.is_integral(div(b, a)):
                     continue
-                if not all(ctx.is_integral(ak / a)
+                if not all(ctx.is_integral(div(ak, a))
                            for k, ak in entries if k != j):
                     continue
                 type_rank = 1
@@ -703,7 +703,7 @@ def _sparsify_equation(e: int) -> List[Transaction]:
             atk = target.get(j)
             if atk is None:
                 continue
-            s = -atk / aek
+            s = div(-atk, aek)
             canceled = 0
             for j2, ae2 in eq_entries:
                 at2 = target.get(j2)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from ..model import InfeasibleError, UnboundedError
 from ..numerics import (INF, NEG_INF, Number, bound_improves_lower,
-                        bound_improves_upper, is_finite)
+                        bound_improves_upper, div, is_finite)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
 from .common import PresolveView, coeff_gcd, has_units, integral_coeffs
@@ -122,7 +122,7 @@ def run_parallelrows(view: PresolveView) -> List[Transaction]:
         for i in rows:
             vec = [v for _, v in p.row_entries(i)]
             base = vec[0]
-            ratios = [v / base for v in vec]
+            ratios = [div(v, base) for v in vec]
             placed = False
             for ci, rep in enumerate(reps):
                 if all(ctx.approx_eq(a, b) for a, b in zip(ratios, rep)):
@@ -139,14 +139,14 @@ def run_parallelrows(view: PresolveView) -> List[Transaction]:
             base = p.rows[keep][support[0]]
             new_lhs, new_rhs = p.row_lhs[keep], p.row_rhs[keep]
             for m in members[1:]:
-                s = p.rows[m][support[0]] / base
+                s = div(p.rows[m][support[0]], base)
                 ml, mr = p.row_lhs[m], p.row_rhs[m]
                 if s > 0:
-                    sl = ml / s if is_finite(ml) else NEG_INF
-                    sr = mr / s if is_finite(mr) else INF
+                    sl = div(ml, s) if is_finite(ml) else NEG_INF
+                    sr = div(mr, s) if is_finite(mr) else INF
                 else:
-                    sl = mr / s if is_finite(mr) else NEG_INF
-                    sr = ml / s if is_finite(ml) else INF
+                    sl = div(mr, s) if is_finite(mr) else NEG_INF
+                    sr = div(ml, s) if is_finite(ml) else INF
                 new_lhs = max(new_lhs, sl)
                 new_rhs = min(new_rhs, sr)
             if not ctx.feas_leq(new_lhs, new_rhs):
@@ -187,7 +187,7 @@ def run_parallelcols(view: PresolveView) -> List[Transaction]:
         for j in cols:
             vec = [v for _, v in p.col_entries(j)]
             base = vec[0]
-            ratios = [v / base for v in vec] + [p.obj[j] / base]
+            ratios = [div(v, base) for v in vec] + [div(p.obj[j], base)]
             placed = False
             for ci, rep in enumerate(reps):
                 if all(ctx.approx_eq(a, b) for a, b in zip(ratios, rep)):
@@ -209,7 +209,7 @@ def run_parallelcols(view: PresolveView) -> List[Transaction]:
             steps += [assert_row(i) for i in support]
             merged = []
             for m in members[1:]:
-                s = p.cols[m][support[0]] / base
+                s = div(p.cols[m][support[0]], base)
                 if p.col_integral[m] != kept_int:
                     continue
                 if kept_int:
@@ -269,7 +269,8 @@ def run_stuffing(view: PresolveView) -> List[Transaction]:
                     desired = lo
                     min_c = asn * up if is_finite(up) else NEG_INF
                     des_c = asn * lo if is_finite(lo) else INF
-                candidates.append((c / asn, j, asn, desired, min_c, des_c))
+                candidates.append((div(c, asn), j, asn, desired, min_c,
+                                   des_c))
             else:
                 lo, up = p.col_lower[j], p.col_upper[j]
                 contrib = asn * up if asn > 0 else asn * lo
@@ -381,23 +382,23 @@ def _worst_case_cap(view: PresolveView, j: int, upper: bool) -> Optional[Number]
                 res = act.max_residual(i, a, lo, up)
                 if not is_finite(res):
                     return None
-                best = min(best, (rhs - res) / a)
+                best = min(best, div(rhs - res, a))
             elif a < 0 and is_finite(lhs):
                 res = act.max_residual(i, a, lo, up)
                 if not is_finite(res):
                     return None
-                best = min(best, (lhs - res) / a)
+                best = min(best, div(lhs - res, a))
         else:
             if a > 0 and is_finite(lhs):
                 res = act.min_residual(i, a, lo, up)
                 if not is_finite(res):
                     return None
-                best = max(best, (lhs - res) / a)
+                best = max(best, div(lhs - res, a))
             elif a < 0 and is_finite(rhs):
                 res = act.min_residual(i, a, lo, up)
                 if not is_finite(res):
                     return None
-                best = max(best, (rhs - res) / a)
+                best = max(best, div(rhs - res, a))
     return best if is_finite(best) else None
 
 
@@ -426,7 +427,7 @@ def run_fixcontinuous(view: PresolveView) -> List[Transaction]:
         elif c < 0:
             v = up
         else:
-            v = (lo + up) / 2
+            v = div(lo + up, 2)
         if _fix_value_feasible(view, j, v):
             txs.append(Transaction("fixcontinuous", [
                 assert_col_bounds(j),
@@ -496,7 +497,7 @@ def run_simplifyineq(view: PresolveView) -> List[Transaction]:
         if g > 1 and is_finite(lo) and is_finite(up):
             min_c = ac * lo if ac > 0 else ac * up
             max_c = ac * up if ac > 0 else ac * lo
-            rounded = g * ctx.floor((side - min_c) / g)
+            rounded = g * ctx.floor(div(side - min_c, g))
             if ctx.feas_leq(rounded, side - max_c):
                 steps.append(ReductionStep(StepKind.CHANGE_COEFF, row=i,
                                            col=jc, value=0))
@@ -509,7 +510,7 @@ def run_simplifyineq(view: PresolveView) -> List[Transaction]:
         if not steps:
             g_all = coeff_gcd(ctx, [a for _, a in svals])
             if g_all > 1:
-                rounded = g_all * ctx.floor(side / g_all)
+                rounded = g_all * ctx.floor(div(side, g_all))
                 if rounded < side and not ctx.approx_eq(rounded, side):
                     if sense > 0:
                         steps.append(ReductionStep(StepKind.CHANGE_RHS,
@@ -530,8 +531,8 @@ def _round_sides_only(view, i, ints, lhs, rhs) -> Optional[Transaction]:
     if not g > 1:
         return None
     steps = []
-    new_rhs = g * ctx.floor(rhs / g)
-    new_lhs = g * ctx.ceil(lhs / g)
+    new_rhs = g * ctx.floor(div(rhs, g))
+    new_lhs = g * ctx.ceil(div(lhs, g))
     if new_rhs < rhs and not ctx.approx_eq(new_rhs, rhs):
         steps.append(ReductionStep(StepKind.CHANGE_RHS, row=i, value=new_rhs))
     if new_lhs > lhs and not ctx.approx_eq(new_lhs, lhs):
@@ -574,11 +575,11 @@ def run_doubletoneq(view: PresolveView) -> List[Transaction]:
             num_lo = b - ae * lo_e if is_finite(lo_e) else NEG_INF
             num_up = b - ae * up_e if is_finite(up_e) else INF
         if akk > 0:
-            imp_lo = num_lo / akk if is_finite(num_lo) else NEG_INF
-            imp_up = num_up / akk if is_finite(num_up) else INF
+            imp_lo = div(num_lo, akk) if is_finite(num_lo) else NEG_INF
+            imp_up = div(num_up, akk) if is_finite(num_up) else INF
         else:
-            imp_lo = num_up / akk if is_finite(num_up) else NEG_INF
-            imp_up = num_lo / akk if is_finite(num_lo) else INF
+            imp_lo = div(num_up, akk) if is_finite(num_up) else NEG_INF
+            imp_up = div(num_lo, akk) if is_finite(num_lo) else INF
         if p.col_integral[jk]:
             imp_lo = ctx.round_up_bound(imp_lo)
             imp_up = ctx.round_down_bound(imp_up)
@@ -610,7 +611,7 @@ def _choose_eliminated(view, j1, a1, j2, a2, b):
             return True
         if not p.col_integral[jk]:
             return False
-        return ctx.is_integral(ak / ae) and ctx.is_integral(b / ae)
+        return ctx.is_integral(div(ak, ae)) and ctx.is_integral(div(b, ae))
 
     c1 = not p.col_integral[j1]
     c2 = not p.col_integral[j2]

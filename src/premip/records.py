@@ -2,7 +2,8 @@
 
 The default format is a length-prefixed little-endian binary stream; a
 human-readable line-based text format is available behind a flag.  Numbers
-are 8-byte doubles in float mode and exact 'p/q' strings in rational mode;
+are 8-byte doubles in float mode and exact 'p' or 'p/q' strings in rational
+mode, read back as an int or a Fraction;
 infinite bounds get their own tag so they survive both encodings.
 
 One table, `_LAYOUT`, gives every entry kind its tag and the order and
@@ -21,13 +22,12 @@ from __future__ import annotations
 import io
 import math
 import struct
-from fractions import Fraction
 from typing import BinaryIO, Callable, Dict, Iterator, Tuple
 
 from .model import (AggregateEntry, BoundChangeEntry, CoeffChangeEntry,
                     FixEntry, FreeSingletonEntry, ImplyIntegralEntry,
                     RedundantRowEntry, SideChangeEntry, SubstituteEntry)
-from .numerics import INF, NEG_INF, Mode, Number, NumericContext
+from .numerics import INF, NEG_INF, Mode, Number, NumericContext, exact
 from .postsolve import _ctx_for
 from .transactions import PostsolveRecord
 
@@ -141,7 +141,7 @@ def _w_num(fh: BinaryIO, v: Number, rational: bool) -> None:
     else:
         fh.write(b"\x00")
         if rational:
-            _w_str(fh, str(Fraction(v)))
+            _w_str(fh, str(v))
         else:
             fh.write(struct.pack("<d", float(v)))
 
@@ -157,7 +157,7 @@ def _r_num(fh: BinaryIO, rational: bool) -> Number:
     if rational:
         text = _r_str(fh)
         try:
-            return Fraction(text)
+            return exact(text)
         except (ValueError, ZeroDivisionError):
             raise RecordFormatError(
                 f"bad number {text!r} before byte {fh.tell()}") from None
@@ -239,24 +239,26 @@ def read_record(path: str) -> PostsolveRecord:
 _TEXT_HEADER = "premip-postsolve-record"
 
 
-def _fmt_num(v: Number) -> str:
+def _fmt_num(v: Number, rational: bool) -> str:
+    """A number of a text record: exact 'p' or 'p/q' in rational mode, the
+    shortest repr of the double in float mode."""
     if v == INF:
         return "inf"
     if v == NEG_INF:
         return "-inf"
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(float(v))
+    return str(v) if rational else repr(float(v))
 
 
 def _write_text(record: PostsolveRecord, path: str) -> None:
+    rational = record.mode == "rational"
     with open(path, "w") as fh:
         fh.write(f"{_TEXT_HEADER} {VERSION} {record.mode}\n")
         fh.write("tolerances " + " ".join(
             repr(float(tol)) for tol in _tolerances(record)) + "\n")
         fh.write(f"dims {record.original_nrows} {record.original_ncols}\n")
-        fh.write(f"offset {_fmt_num(record.objective_offset)}\n")
-        fh.write("obj " + " ".join(_fmt_num(c) for c in record.objective)
+        fh.write(f"offset {_fmt_num(record.objective_offset, rational)}\n")
+        fh.write("obj " + " ".join(_fmt_num(c, rational)
+                                   for c in record.objective)
                  + "\n")
         fh.write("colnames " + " ".join(record.col_names) + "\n")
         fh.write("rownames " + " ".join(record.row_names) + "\n")
@@ -265,7 +267,7 @@ def _write_text(record: PostsolveRecord, path: str) -> None:
             parts = [str(_ENTRY_TAGS[type(entry)])]
             for kind, value in _flatten(entry):
                 parts.append(str(value) if kind in ("i", "s")
-                             else _fmt_num(value))
+                             else _fmt_num(value, rational))
             fh.write("entry " + " ".join(parts) + "\n")
 
 
@@ -302,7 +304,7 @@ def _read_text(path: str) -> PostsolveRecord:
                 return INF
             if tok == "-inf":
                 return NEG_INF
-            return Fraction(tok) if rational else float(tok)
+            return exact(tok) if rational else float(tok)
 
         nrows, ncols = (int(t) for t in take("dims", 2))
         offset = parse_num(take("offset", 1)[0])

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from premip import (NumericContext, Problem, postsolve_primal, presolve)
-from premip.numerics import INF, NEG_INF, is_finite
+from premip.numerics import INF, NEG_INF, Mode, is_finite
 
 
 def make_problem(ctx, cols, rows, offset=0, obj=None):
@@ -22,6 +22,14 @@ def make_problem(ctx, cols, rows, offset=0, obj=None):
         p.add_row(entries, lhs, rhs)
     p.obj_offset = ctx.number(offset)
     return p
+
+
+def quotient(ctx, x, a):
+    """x / a for a reference copy of premip code: IEEE division in
+    float64, an exact Fraction in rational mode, never through a float."""
+    if ctx.mode is Mode.RATIONAL:
+        return Fraction(x) / Fraction(a)
+    return x / a
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from premip.numerics import (INF, NEG_INF, Mode, NumericContext,
-                             rational_gcd, is_finite)
+from premip.numerics import (INF, NEG_INF, Mode, NumericContext, div,
+                             exact, rational_gcd, is_finite)
 from premip.presolvers.common import coeff_gcd
 
 
@@ -93,8 +93,9 @@ class TestFloorCeil:
         assert RAT.round_down_bound(Fraction(5, 2)) == 2
 
     def test_rounding_keeps_the_mode_type_and_infinities(self):
-        for ctx, v, kind in ((FLOAT, 2.5, float), (RAT, Fraction(5, 2),
-                                                   Fraction)):
+        # an exact result is integral, so rational mode holds it as an int
+        for ctx, v, kind in ((FLOAT, 2.5, float), (RAT, Fraction(5, 2), int),
+                             (RAT, 5, int)):
             for f in (ctx.round_down_bound, ctx.round_up_bound, ctx.floor,
                       ctx.ceil, ctx.round):
                 assert type(f(v)) is kind
@@ -233,16 +234,18 @@ def _old_coeff_gcd(values):
 _FRACTIONS = st.fractions(min_value=-10**6, max_value=10**6,
                           max_denominator=50)
 _INTEGRAL_FRACTIONS = st.integers(-10**30, 10**30).map(Fraction)
+# an integral value in both exact representations: int and Fraction(n, 1)
+_INTEGRALS = st.one_of(st.integers(-10**30, 10**30), _INTEGRAL_FRACTIONS)
 
 
 class TestExactShortcuts:
     """The rational shortcuts equal the formulas they replace."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_INTEGRAL_FRACTIONS, max_size=6))
+    @given(st.lists(_INTEGRALS, max_size=6))
     def test_integral_coeff_gcd_equals_chained_rational_gcd(self, values):
         got = coeff_gcd(RAT, values)
-        assert type(got) is Fraction and got == _old_coeff_gcd(values)
+        assert type(got) is int and got == _old_coeff_gcd(values)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(_FRACTIONS, _INTEGRAL_FRACTIONS), max_size=5))
@@ -250,11 +253,11 @@ class TestExactShortcuts:
         assert coeff_gcd(RAT, values) == _old_coeff_gcd(values)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_FRACTIONS, _INTEGRAL_FRACTIONS))
+    @given(st.one_of(_FRACTIONS, _INTEGRALS))
     def test_rational_bound_rounding_without_the_tolerance(self, v):
         down, up = RAT.round_down_bound(v), RAT.round_up_bound(v)
-        assert type(down) is Fraction and down == math.floor(v + 0)
-        assert type(up) is Fraction and up == math.ceil(v - 0)
+        assert type(down) is int and down == math.floor(v + 0)
+        assert type(up) is int and up == math.ceil(v - 0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -274,3 +277,74 @@ class TestExactShortcuts:
            st.one_of(_FRACTIONS, st.sampled_from([INF, NEG_INF])))
     def test_rational_feas_leq_equals_the_full_test(self, a, b):
         assert RAT.feas_leq(a, b) == _old_feas_leq(RAT, a, b)
+
+
+class TestExactValues:
+    """Rational mode holds an integral value as an int, any other finite
+    value as a Fraction, and never a float."""
+
+    @pytest.mark.parametrize("a, b", [(-7, 2), (7, -2), (-7, -2), (7, 2),
+                                      (-8, 2), (8, -2), (0, -5), (1, 3)])
+    def test_div_of_ints_is_the_exact_quotient(self, a, b):
+        q, r = divmod(a, b)  # floors toward -inf: divmod(-7, 2) == (-4, 1)
+        got = div(a, b)
+        assert got == Fraction(a, b)
+        assert type(got) is (int if r == 0 else Fraction)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-10**40, 10**40),
+           st.integers(-10**40, 10**40).filter(bool))
+    def test_div_of_ints_beyond_doubles(self, a, b):
+        got = div(a, b)
+        assert got == Fraction(a, b) and not isinstance(got, float)
+        assert type(div(a * b, b)) is int and div(a * b, b) == a
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False),
+           st.floats(allow_nan=False).filter(bool))
+    def test_div_of_floats_is_ieee_division(self, a, b):
+        assert repr(div(a, b)) == repr(a / b)
+        assert repr(div(a, 3)) == repr(a / 3)
+        assert repr(div(7, b)) == repr(7 / b)
+
+    def test_div_with_a_fraction_or_an_infinity(self):
+        assert div(Fraction(1, 2), 3) == Fraction(1, 6)
+        assert div(3, Fraction(3, 2)) == 2
+        assert div(INF, 2) == INF and div(-7, INF) == 0
+        with pytest.raises(ZeroDivisionError):
+            div(1, 0)
+
+    @pytest.mark.parametrize("text, want", [
+        ("3", 3), ("-0", 0), ("+12", 12), ("3.0", 3), ("1e3", 1000),
+        ("6/2", 3), ("2**0", None), ("1/2", Fraction(1, 2)),
+        ("-0.25", Fraction(-1, 4)), ("1e-2", Fraction(1, 100)),
+        (str(2**60 + 1), 2**60 + 1)])
+    def test_parse_gives_an_int_when_integral(self, text, want):
+        if want is None:  # read_mps reports either as a bad literal
+            with pytest.raises((ValueError, ArithmeticError)):
+                RAT.parse(text)
+            return
+        got = RAT.parse(text)
+        assert got == want
+        assert type(got) is (int if Fraction(want).denominator == 1
+                             else Fraction)
+
+    @pytest.mark.parametrize("v", [0, -4, 2.0, -3.5, Fraction(6, 3),
+                                   Fraction(1, 3), 2**60 + 1])
+    def test_number_and_exact_give_an_int_when_integral(self, v):
+        for got in (RAT.number(v), exact(v)):
+            assert got == Fraction(v)
+            assert type(got) is (int if Fraction(v).denominator == 1
+                                 else Fraction)
+        assert type(FLOAT.number(v)) is float
+
+    def test_thresholds_and_formatting(self):
+        assert RAT.markowitz_threshold == 0
+        assert type(RAT.markowitz_threshold) is int
+        assert RAT.bound_improvement_threshold == Fraction(1, 1000)
+        for v in (3, Fraction(3), Fraction(3, 1)):
+            assert RAT.format(v) == "3"
+        assert RAT.format(2**60 + 1) == str(2**60 + 1)
+        assert rational_gcd(4, Fraction(6)) == 2
+        assert type(rational_gcd(4, Fraction(6))) is int
+        assert rational_gcd(Fraction(1, 2), 3) == Fraction(1, 2)

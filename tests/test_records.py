@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from premip import (NumericContext, PostsolveError, PostsolveRecord, presolve,
                     postsolve_primal, read_record, write_record)
-from premip.model import SubstituteEntry
+from premip.model import CoeffChangeEntry, FixEntry, SubstituteEntry
 from premip.cli import main
 from premip.records import MAGIC, RecordFormatError
 from premip.postsolve import _ctx_for, replay
@@ -56,6 +57,30 @@ class TestSerialization:
         write_record(record, path, text=text)
         back = read_record(path)
         assert records_equal(record, back)
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_rational_integer_beyond_doubles(self, tmp_path, text):
+        """An int above 2**53 keeps every digit: a text record writes it
+        with str(), not through a double."""
+        big = 2**60 + 1
+        record = PostsolveRecord(
+            original_nrows=1, original_ncols=2, objective=[big, 0],
+            objective_offset=-big, col_names=["x", "y"], row_names=["r"],
+            mode="rational",
+            entries=[CoeffChangeEntry(0, 0, big, 0), FixEntry(1, big),
+                     FixEntry(0, Fraction(big, 3))])
+        path = str(tmp_path / "r.post")
+        write_record(record, path, text=text)
+        back = read_record(path)
+        assert back.entries == record.entries
+        assert back.objective == [big, 0] and back.objective_offset == -big
+        for value in (back.entries[0].old, back.entries[0].new,
+                      back.entries[1].value, back.objective[0]):
+            assert type(value) is int
+        if text:
+            written = (tmp_path / "r.post").read_text()
+            assert f"entry 4 0 0 {big} 0\n" in written
+            assert f"entry 1 0 {big}/3\n" in written
 
     def test_binary_magic_detected(self, tmp_path):
         record = record_with_everything()

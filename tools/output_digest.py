@@ -2,9 +2,13 @@
 
 Each run of the corpus presolves one instance and hashes its verdict, the
 reduced problem's `stable_hash`, the postsolve record's entries,
-`stats.as_dict()` and the verbosity-4 log.  The digest of all runs is
-printed as one line, so two versions of the package can be compared
-without a benchmark:
+`stats.as_dict()` and the verbosity-4 log.  The entries are hashed by
+value: every number in them is written with the problem's
+`NumericContext.format`, as `stable_hash` writes the problem's, so a
+change of representation alone (an exact 3 held as `Fraction(3, 1)` or as
+the int 3) keeps the digest, while a float in rational mode changes it.
+The digest of all runs is printed as one line, so two versions of the
+package can be compared without a benchmark:
 
     python tools/output_digest.py                  # the package in src/
     python tools/output_digest.py --src OTHER/src  # another checkout's
@@ -27,6 +31,7 @@ alone.  It takes about ten seconds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import random
@@ -91,6 +96,23 @@ def _runs():
         yield f"chain-{n}", chain, opts(2), False
 
 
+def _entries_text(entries, ctx) -> str:
+    """One line per record entry: its kind, then its fields in declaration
+    order, numbers written by ctx.format and (index, number) lists as
+    pairs."""
+    def text(value):
+        if isinstance(value, list):
+            return "[" + " ".join(f"({j}:{ctx.format(a)})"
+                                  for j, a in value) + "]"
+        if isinstance(value, str):
+            return value
+        return ctx.format(value)
+    return "\n".join(
+        " ".join([type(e).__name__] + [text(getattr(e, f.name))
+                                       for f in dataclasses.fields(e)])
+        for e in entries)
+
+
 def _run_digest(problem, options, immediate) -> str:
     from premip import capture_log, presolve, presolve_sequential_immediate
     log, buf = capture_log(4)
@@ -98,7 +120,7 @@ def _run_digest(problem, options, immediate) -> str:
     result = run(problem, options, log)
     h = hashlib.sha256()
     for part in (result.verdict.value, result.problem.stable_hash(),
-                 repr(result.record.entries),
+                 _entries_text(result.record.entries, result.problem.ctx),
                  repr(sorted(result.stats.as_dict().items())),
                  buf.getvalue()):
         h.update(part.encode())
