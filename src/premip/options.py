@@ -6,6 +6,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Set
 
 from .numerics import Mode, NumericContext
+from .parallel import usable_cpus
+from .presolvers import PRESOLVER_NAMES
 
 ENV_PREFIX = "PREMIP_"
 
@@ -27,6 +29,19 @@ _PARAM_FIELDS = {
 }
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 0:
+        raise ValueError(f"presolve.threads is {threads}; it must be a count "
+                         f">= 1, or 0 for the usable CPUs")
+
+
+def _check_presolver(name: str) -> None:
+    if name not in PRESOLVER_NAMES:
+        raise KeyError(f"unknown presolver {name!r} in "
+                       f"'presolve.{name}.enabled'; the presolvers are "
+                       f"{', '.join(PRESOLVER_NAMES)}")
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -38,7 +53,7 @@ def _parse_bool(text: str) -> bool:
 
 @dataclass
 class PresolveOptions:
-    threads: int = 1            # 0 = auto-detect
+    threads: int = 1            # 0 = the usable CPUs
     abortfac: float = 8e-4
     apply_immediately: bool = False
     verbosity: int = 1
@@ -75,9 +90,18 @@ class PresolveOptions:
                     f"was built with {have!r}")
 
     def resolved_threads(self) -> int:
-        if self.threads == 0:
-            return os.cpu_count() or 1
-        return max(1, self.threads)
+        """The worker count: threads, or the usable CPUs when it is 0.  A
+        negative count raises ValueError."""
+        _check_threads(self.threads)
+        return self.threads or usable_cpus()
+
+    def check(self) -> None:
+        """Raise naming the first option presolve cannot run with: a
+        negative thread count (ValueError) or a disabled presolver that
+        does not exist (KeyError)."""
+        _check_threads(self.threads)
+        for name in sorted(self.disabled):
+            _check_presolver(name)
 
     def is_enabled(self, presolver: str) -> bool:
         return presolver not in self.disabled
@@ -86,10 +110,13 @@ class PresolveOptions:
         if key in _PARAM_FIELDS:
             attr, typ = _PARAM_FIELDS[key]
             value = _parse_bool(raw) if typ is bool else typ(raw)
+            if attr == "threads":
+                _check_threads(value)
             setattr(self, attr, value)
             return
         if key.startswith("presolve.") and key.endswith(".enabled"):
             name = key[len("presolve."):-len(".enabled")]
+            _check_presolver(name)
             if _parse_bool(raw):
                 self.disabled.discard(name)
             else:

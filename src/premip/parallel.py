@@ -4,12 +4,16 @@ Workers are forked so they inherit the current problem snapshot without
 serialization; each task returns a picklable result and results are always
 gathered in task order, so the output is identical to a sequential run.
 Small work loads fall back to in-process execution because fork/IPC
-overhead would dominate.
+overhead would dominate.  A pool never has more processes than the CPUs
+this process may run on: more would only take turns on them.  The callers
+chunk by the worker count they were asked for, not by the pool size, so
+the cap changes no output.
 """
 from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import sys
 from typing import Callable, List, Sequence, TypeVar
 
@@ -22,13 +26,23 @@ def fork_available() -> bool:
             and "fork" in multiprocessing.get_all_start_methods())
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fork_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
     """Apply fn to every item, preserving order.
 
     Runs sequentially unless more than one worker is requested, more than
-    one item exists, and fork is available.  fn must be a module-level
-    function; shared state must be reachable through module globals set
-    before the call (inherited by the forked children).
+    one item exists, and fork is available.  Otherwise a pool of
+    min(workers, len(items), usable_cpus()) processes runs the items.
+    fn must be a module-level function; shared state must be reachable
+    through module globals set before the call (inherited by the forked
+    children).
     """
     if workers <= 1 or len(items) <= 1 or not fork_available():
         return [fn(it) for it in items]
@@ -38,7 +52,7 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
     # objects are never collected
     gc.freeze()
     try:
-        with ctx.Pool(min(workers, len(items))) as pool:
+        with ctx.Pool(min(workers, len(items), usable_cpus())) as pool:
             return pool.map(fn, items, chunksize=1)
     finally:
         gc.unfreeze()

@@ -7,6 +7,16 @@ on every call.
 Each worker turns its chunk into transactions, so only transactions come
 back to the parent.
 
+Probing's first call probes every active binary, in one fan-out.  A later
+call orders its candidates with the binaries changed since the previous
+call first, in index order, and the other active binaries after them,
+and probes nothing when no binary changed.  It probes them in fixed
+batches of PROBING_BATCH, one fan-out each, and stops after the first
+batch that yields no transaction, a working limit like the one that ends
+probing after a run of useless probes in Achterberg, "Constraint Integer
+Programming" (2007).  The batches do not depend on the worker count, so
+neither does the output.
+
 Probing copies the column bounds once per call into a workspace of two
 arrays, with a third that tells which columns have a finite box; forked
 workers inherit it.  A branch writes its bounds there, lists the columns
@@ -53,16 +63,20 @@ from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
 from .common import (GATE_RTOL, PresolveView, finite_side, implied_bounds,
                      slack_need, tightening_sides)
 
+# candidates a probing call that is not its first probes between two
+# checks for progress; a batch that yields nothing ends the call
+PROBING_BATCH = 64
+
 # work-size gates below which forking is not worth the overhead
 PROBING_PARALLEL_MIN_CANDIDATES = 192
 PROBING_PARALLEL_MIN_NNZ = 2000
 DOMCOL_PARALLEL_MIN_GROUPS = 512
 SPARSIFY_PARALLEL_MIN_EQS = 512
 
-# the view of the presolver whose chunks run; for probing, the rows its
-# chunks have read so far (see _cache_row), and its workspace (see
-# _workspace).  Forked workers inherit all three, and all three are cleared
-# when the call ends.
+# the view of the presolver whose chunks run, cleared when the fan-out
+# ends; for probing, the rows its chunks have read so far (see _cache_row)
+# and its workspace (see _workspace), both cleared when run_probing ends.
+# Forked workers inherit all three.
 _VIEW: Optional[PresolveView] = None
 _SORTED_ROWS: Dict[int, Tuple[List[Tuple[int, Number, Number]],
                               Optional[Number], Optional[Number],
@@ -72,10 +86,13 @@ _BOUNDS: Optional[Tuple[List[Number], List[Number], List[bool]]] = None
 
 def _fan_out(view: PresolveView, chunk_fn, items: list,
              big_enough: bool) -> list:
-    """chunk_fn's results over items, in item order.  Forks view.workers
-    processes over contiguous chunks when big_enough, else runs in-process;
+    """chunk_fn's results over items, in item order.  When big_enough,
+    splits items into 4 * view.workers contiguous chunks and hands them to
+    fork_map, which runs them on at most view.workers processes and never
+    more than the usable CPUs; else runs in-process.  The chunks follow
+    view.workers alone, so the output does not depend on the host.
     chunk_fn reads the view from _VIEW."""
-    global _VIEW, _BOUNDS
+    global _VIEW
     _VIEW = view
     try:
         if view.workers > 1 and big_enough:
@@ -85,8 +102,6 @@ def _fan_out(view: PresolveView, chunk_fn, items: list,
         return chunk_fn(items)
     finally:
         _VIEW = None
-        _BOUNDS = None
-        _SORTED_ROWS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -611,27 +626,48 @@ def _probe_chunk(candidates: List[int]) -> list:
 
 def run_probing(view: PresolveView) -> List[Transaction]:
     """Probe binary columns to 0 and 1; derive fixings, global bounds and
-    affine couplings from the two propagation branches."""
+    affine couplings from the two propagation branches.
+
+    The first call probes every active binary in one fan-out.  A later
+    call probes the binaries changed since the previous call, in index
+    order, and then the other active binaries, in batches of
+    PROBING_BATCH; it stops after the first batch that yields no
+    transaction, and probes nothing when no binary changed.  A candidate
+    whose two branches are both infeasible raises InfeasibleError and
+    ends the call."""
+    global _BOUNDS
     p = view.problem
     binaries = [j for j in p.active_cols() if p.is_binary(j)]
+    if not binaries:
+        return []
     if view.is_fresh():
-        changed_bins = binaries
+        batches = [binaries]
     else:
         changed = set(view.scan_cols())
-        changed_bins = [j for j in binaries if j in changed]
-    cap = min(p.ncols, 10 * len(changed_bins))
-    candidates = binaries[:cap]
-    if not candidates:
-        return []
-    global _BOUNDS
+        first = [j for j in binaries if j in changed]
+        if not first:
+            return []
+        ordered = first + [j for j in binaries if j not in changed]
+        batches = [ordered[s:s + PROBING_BATCH]
+                   for s in range(0, len(ordered), PROBING_BATCH)]
     _BOUNDS = _workspace(p)
-    txs = _fan_out(view, _probe_chunk, candidates,
-                   len(candidates) >= PROBING_PARALLEL_MIN_CANDIDATES
-                   and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
-    # chunks are contiguous, so the first error is the first candidate's
-    for tx in txs:
-        if isinstance(tx, InfeasibleError):
-            raise tx
+    txs: List[Transaction] = []
+    try:
+        for batch in batches:
+            found = _fan_out(view, _probe_chunk, batch,
+                             len(batch) >= PROBING_PARALLEL_MIN_CANDIDATES
+                             and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
+            # chunks are contiguous, so the first error is the first
+            # candidate's
+            for tx in found:
+                if isinstance(tx, InfeasibleError):
+                    raise tx
+            if not found:
+                break
+            txs.extend(found)
+    finally:
+        _BOUNDS = None
+        _SORTED_ROWS.clear()
     return txs
 
 

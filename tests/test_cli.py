@@ -229,6 +229,60 @@ class TestParameterPrecedence:
         assert code == 1
 
 
+class TestRejectedOptions:
+    """A negative thread count and an unknown presolver name fail with an
+    error that names the key, through the API and the command line."""
+
+    def test_negative_threads_api(self):
+        from premip import PresolveOptions, presolve
+        from premip.options import usable_cpus
+        with pytest.raises(ValueError, match="presolve.threads"):
+            PresolveOptions().set_param("presolve.threads", "-4")
+        with pytest.raises(ValueError, match="presolve.threads"):
+            PresolveOptions.from_sources({}, {"PREMIP_PRESOLVE_THREADS": "-1"})
+        with pytest.raises(ValueError, match="presolve.threads"):
+            presolve(_knap_problem(), PresolveOptions(threads=-4))
+        assert PresolveOptions(threads=0).resolved_threads() == usable_cpus()
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_unknown_presolver_api(self):
+        from premip import PresolveOptions, presolve
+        for raw in ("false", "true"):
+            with pytest.raises(KeyError, match="presolve.probin.enabled"):
+                PresolveOptions().set_param("presolve.probin.enabled", raw)
+        with pytest.raises(KeyError, match="presolve.probin.enabled"):
+            presolve(_knap_problem(), PresolveOptions(disabled={"probin"}))
+        opts = PresolveOptions()
+        opts.set_param("presolve.probing.enabled", "false")
+        assert not opts.is_enabled("probing")
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--threads", "-4"], "presolve.threads"),
+        (["--set", "presolve.threads=-4"], "presolve.threads"),
+        (["--set", "presolve.probin.enabled=false"],
+         "presolve.probin.enabled"),
+    ])
+    def test_cli(self, knap, tmp_path, capsys, argv, key):
+        reduced = tmp_path / "r.mps"
+        code = main(["presolve", str(knap), "-r", str(reduced),
+                     "-v", str(tmp_path / "r.post")] + argv)
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not reduced.exists()
+
+
+def _knap_problem():
+    """KNAP_MPS as a Problem."""
+    from premip import NumericContext, Problem
+    from premip.numerics import NEG_INF
+    p = Problem(NumericContext.float64())
+    p.add_col(0, 1, -2, True, name="X1")
+    p.add_col(0, 1, -1, True, name="X2")
+    p.add_row({0: 7, 1: 8}, NEG_INF, 13)
+    return p
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, knap, tmp_path):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 import gc
 import math
 import multiprocessing
+import os
 import random
 import re
 from fractions import Fraction
@@ -9,11 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import premip.presolvers as presolvers
 import premip.presolvers.exhaustive as exhaustive
-from premip import NumericContext, Problem, apply_all
+from premip import (NumericContext, PresolveOptions, Problem, apply_all,
+                    presolve)
 from premip.model import InfeasibleError, ModelUpdate, RowActivities
 from premip.numerics import (INF, NEG_INF, bound_improves_lower,
                              bound_improves_upper, is_finite)
+import premip.parallel as parallel
 from premip.parallel import fork_map
 from premip.presolvers import PresolveView, runner
 from premip.presolvers.common import (GATE_RTOL, finite_side,
@@ -732,13 +736,51 @@ def test_forked_workers_inherit_a_frozen_heap():
     assert gc.get_freeze_count() == 0
 
 
-def _probe_at_each_worker_count(upd):
+def _pid(_):
+    return os.getpid()
+
+
+def test_pool_capped_at_the_usable_cpus(monkeypatch):
+    """fork_map opens min(workers, items, usable CPUs) processes."""
+    sizes = []
+    fork_ctx = type(multiprocessing.get_context("fork"))
+    pool = fork_ctx.Pool
+
+    def recording_pool(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork_ctx, "Pool", recording_pool)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    pids = fork_map(_pid, range(12), 4)
+    assert len(set(pids)) <= 2 and os.getpid() not in pids
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+    fork_map(_pid, range(12), 3)
+    fork_map(_pid, range(2), 4)
+    assert sizes == [2, 3, 2]
+
+
+@pytest.fixture
+def fanned_out(monkeypatch):
+    """(workers, items) of every exhaustive._fan_out call."""
+    calls = []
+    fan_out = exhaustive._fan_out
+
+    def recording_fan_out(view, chunk_fn, items, big_enough):
+        calls.append((view.workers, list(items)))
+        return fan_out(view, chunk_fn, items, big_enough)
+
+    monkeypatch.setattr(exhaustive, "_fan_out", recording_fan_out)
+    return calls
+
+
+def _probe_at_each_worker_count(upd, changed_cols=None):
     """run_probing's transactions (repr) or InfeasibleError message at
-    workers 1, 2 and 3."""
+    workers 1, 2 and 3; a fresh view unless changed_cols is given."""
     out = {}
     for workers in (1, 2, 3):
         view = PresolveView(upd.problem, upd.activities, upd.locks,
-                            workers=workers)
+                            changed_cols=changed_cols, workers=workers)
         try:
             out[workers] = repr(exhaustive.run_probing(view))
         except InfeasibleError as err:
@@ -805,6 +847,25 @@ class TestProbingAcrossWorkers:
         assert set(msgs.values()) == {
             "InfeasibleError: probing x10: both branches infeasible"}
 
+    def test_reprobe_over_several_batches(self, monkeypatch, fanned_out):
+        """A later call's batches and where it stops do not depend on the
+        worker count; every batch forks."""
+        monkeypatch.setattr(exhaustive, "PROBING_BATCH", 5)
+        spans = []
+        for seed in range(4):
+            upd = ModelUpdate(_open_bounds(
+                random_medium_mip(random.Random(seed), 60, 40),
+                random.Random(seed)))
+            changed = set(range(seed, upd.problem.ncols, 3))
+            fanned_out.clear()
+            txs = _probe_at_each_worker_count(upd, changed)
+            assert txs[2] == txs[1] and txs[3] == txs[1], seed
+            per_workers = {w: [items for v, items in fanned_out if v == w]
+                           for w in (1, 2, 3)}
+            assert per_workers[2] == per_workers[1] == per_workers[3]
+            spans.append(len(per_workers[1]))
+        assert max(spans) >= 2, spans
+
     def test_sorted_rows_die_with_the_call(self, monkeypatch):
         """Probing A and then B equals probing B alone, with a cache that
         never saw A: no sorted row of A is read for B."""
@@ -814,6 +875,100 @@ class TestProbingAcrossWorkers:
         after_a = _probe_at_each_worker_count(b)
         monkeypatch.setattr(exhaustive, "_SORTED_ROWS", {})
         assert _probe_at_each_worker_count(b) == after_a
+
+
+def _relabelled(p, rng):
+    """p with its columns in a random order."""
+    order = list(range(p.ncols))
+    rng.shuffle(order)
+    new_index = {j: k for k, j in enumerate(order)}
+    q = Problem(p.ctx)
+    for j in order:
+        q.add_col(p.col_lower[j], p.col_upper[j], p.obj[j],
+                  p.col_integral[j], p.col_names[j])
+    for i in range(p.nrows):
+        q.add_row({new_index[j]: a for j, a in p.rows[i].items()},
+                  p.row_lhs[i], p.row_rhs[i])
+    return q
+
+
+def _implication_ladder(n):
+    """Binaries x0..x{n-1} with x_j <= x_{j+1} and x_{n-1} + x_{n-2} <= 1.
+    Probing x_{n-3} or x_{n-2} to 1 is infeasible, so each is fixed to 0,
+    and both branches of x_{n-1} bound them; within probing's two
+    propagation passes the other binaries give nothing."""
+    p = Problem(FLOAT)
+    for j in range(n):
+        p.add_col(0, 1, 0, True, name=f"x{j}")
+    for j in range(n - 1):
+        p.add_row({j: 1, j + 1: -1}, NEG_INF, 0)
+    p.add_row({n - 2: 1, n - 1: 1}, NEG_INF, 1)
+    return p
+
+
+class TestProbingBatches:
+    """The first call probes every binary in one fan-out; a later call
+    probes the changed binaries first and then the others, in batches of
+    PROBING_BATCH, and stops after the first batch that finds nothing."""
+
+    def test_fresh_call_is_one_fan_out(self, fanned_out):
+        upd = ModelUpdate(_implication_ladder(150))
+        exhaustive.run_probing(PresolveView(upd.problem, upd.activities,
+                                            upd.locks))
+        assert fanned_out == [(1, list(range(150)))]
+
+    def test_changed_binary_beyond_the_old_prefix_comes_first(
+            self, fanned_out):
+        """The old rule re-probed binaries[:10 * len(changed)], here x0..x9,
+        and never x38."""
+        upd = ModelUpdate(_implication_ladder(40))
+        txs = exhaustive.run_probing(PresolveView(
+            upd.problem, upd.activities, upd.locks, changed_cols={38}))
+        first = fanned_out[0][1]
+        assert first == [38] + [j for j in range(40) if j != 38]
+        assert len(first) <= exhaustive.PROBING_BATCH
+        assert txs[0].steps == [ReductionStep(StepKind.FIX_COLUMN, col=38,
+                                              value=0)]
+
+    def test_a_fruitless_batch_ends_the_call(self, fanned_out, monkeypatch):
+        monkeypatch.setattr(exhaustive, "PROBING_BATCH", 8)
+        upd = ModelUpdate(_implication_ladder(40))
+        view = PresolveView(upd.problem, upd.activities, upd.locks,
+                            changed_cols={38, 20})
+        # x38's batch finds its fixing, the next finds nothing
+        assert exhaustive.run_probing(view)
+        assert [items for _, items in fanned_out] == [
+            [20, 38] + list(range(6)), list(range(6, 14))]
+        # no changed binary, nothing to probe
+        fanned_out.clear()
+        assert exhaustive.run_probing(PresolveView(
+            upd.problem, upd.activities, upd.locks, changed_cols=set())) == []
+        assert fanned_out == []
+
+    def test_next_call_on_probe_chain_probes_one_batch(self, monkeypatch):
+        """On a column-shuffled probing_chain_instance(1200), the call after
+        the fresh one runs at most two branches per candidate of one
+        batch."""
+        branches = []
+        inner = exhaustive._probe_propagate
+
+        def counting(*args):
+            branches[-1] += 1
+            return inner(*args)
+
+        probing = presolvers._RUNNERS["probing"]
+
+        def counted(view):
+            branches.append(0)
+            return probing(view)
+
+        monkeypatch.setattr(exhaustive, "_probe_propagate", counting)
+        monkeypatch.setitem(presolvers._RUNNERS, "probing", counted)
+        p = _relabelled(probing_chain_instance(1200), random.Random(1))
+        presolve(p, PresolveOptions(threads=1))
+        assert branches[0] == 2 * 1200
+        assert len(branches) >= 2
+        assert all(n <= 2 * exhaustive.PROBING_BATCH for n in branches[1:])
 
 
 class TestProbingWorkspace:
