@@ -35,6 +35,23 @@ def _check_threads(threads: int) -> None:
                          f">= 1, or 0 for the usable CPUs")
 
 
+def _check_abortfac(abortfac: float) -> None:
+    if not 0 <= abortfac <= 1:  # NaN fails too
+        raise ValueError(f"presolve.abortfac is {abortfac}; it must lie in "
+                         f"[0, 1]")
+
+
+def _check_max_rounds(max_rounds: int) -> None:
+    if max_rounds < 0:
+        raise ValueError(f"presolve.maxrounds is {max_rounds}; it must be a "
+                         f"count >= 0")
+
+
+# the range check of each PresolveOptions field that has one
+_CHECKS = {"threads": _check_threads, "abortfac": _check_abortfac,
+           "max_rounds": _check_max_rounds}
+
+
 def _check_presolver(name: str) -> None:
     if name not in PRESOLVER_NAMES:
         raise KeyError(f"unknown presolver {name!r} in "
@@ -97,9 +114,11 @@ class PresolveOptions:
 
     def check(self) -> None:
         """Raise naming the first option presolve cannot run with: a
-        negative thread count (ValueError) or a disabled presolver that
-        does not exist (KeyError)."""
-        _check_threads(self.threads)
+        negative thread count or round limit, or an abort factor outside
+        [0, 1] (ValueError), or a disabled presolver that does not exist
+        (KeyError)."""
+        for attr, check in _CHECKS.items():
+            check(getattr(self, attr))
         for name in sorted(self.disabled):
             _check_presolver(name)
 
@@ -110,8 +129,8 @@ class PresolveOptions:
         if key in _PARAM_FIELDS:
             attr, typ = _PARAM_FIELDS[key]
             value = _parse_bool(raw) if typ is bool else typ(raw)
-            if attr == "threads":
-                _check_threads(value)
+            if attr in _CHECKS:
+                _CHECKS[attr](value)
             setattr(self, attr, value)
             return
         if key.startswith("presolve.") and key.endswith(".enabled"):

@@ -148,13 +148,12 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
     Integral columns get their bounds rounded inward; a side that implies
     nothing gives NEG_INF/INF.
 
-    `tightening_sides` tells before the call that a side cannot tighten
-    the entry, and probing's row screen tells it for a whole row; callers
-    pass such a side as None or skip the call (`run_propagation` runs the
-    slack test in both modes, probing in float64 only; the screen runs in
-    both modes).  Both compare the row's slack with `slack_need`, whose
-    docstring derives why the rounded cap of a dropped side could not
-    have improved the bound.
+    `screen_threshold` tells before the call that the row cannot tighten
+    an entry whose `slack_need` lies below it, and `run_propagation` and
+    probing then skip the call, in both modes; `slack_need`'s docstring
+    derives why the rounded cap of a skipped entry could not have improved
+    its bounds.  A row with an infinite share is not screened: the
+    residuals below are None where another share is infinite.
 
     Some bound arithmetic stays outside this kernel on purpose:
     - trivial presolve's singleton rows and DoubletonEq compute from sides
@@ -199,8 +198,14 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
     return lower, upper
 
 
-# relative size of the safety margin of the slack test in float64
+# relative size of the safety margin of the row screen in float64
 GATE_RTOL = 1e-9
+
+
+def screen_rtol(ctx: NumericContext) -> Number:
+    """The row screen's relative margin in ctx's mode: GATE_RTOL in
+    float64, 0 (an exact screen) in rational mode."""
+    return GATE_RTOL if ctx.mode is Mode.FLOAT64 else 0
 
 
 def _is_whole(v: Number) -> bool:
@@ -213,10 +218,10 @@ def _is_whole(v: Number) -> bool:
 def slack_need(a: Number, lo: Number, up: Number, integral: bool,
                feastol: Number, rtol: Number) -> Number:
     """The slack below which a row side might tighten this entry's bounds
-    through `implied_bounds`, its safety margin included: the one need
-    formula of the slack test (`tightening_sides`) and of probing's row
-    screen.  A side whose slack exceeds the need plus rtol*(|side| +
-    |sum|) cannot tighten the entry.
+    through `implied_bounds`, its safety margin included: the need
+    formula of the row screen (`screen_threshold`).  A side whose slack
+    exceeds the need plus rtol*(|side| + |sum|) cannot tighten the
+    entry.
 
     For a continuous column the need is |a|*(up-lo) + margin.  The cap
     from the rhs of a positive entry is lo + slack/|a| (the other cases
@@ -236,19 +241,19 @@ def slack_need(a: Number, lo: Number, up: Number, integral: bool,
     the comparison.  The kernel's residual, difference, quotient and the
     feastol shift each round by an ulp of those magnitudes (about 1e-16 of
     them), so with rtol = GATE_RTOL = 1e-9 the margin exceeds the
-    kernel's rounding, and that of the test itself, a million times over:
-    the rounded cap of a side the test drops stays on the non-improving
-    side of the bound.  The test and the kernel read the same cached
-    sums, whose last bits depend on the sequence of removals and additions
-    that built them; float64 keeps `ModelUpdate`'s remove-then-add
-    sequence (see `_set_col_bound_raw`), since shifting a sum by
-    a*(new-old) would change those bits and with them the kernel's
+    kernel's rounding, and that of the screen itself, a million times
+    over: the rounded cap of a side whose slack exceeds the need stays on
+    the non-improving side of the bound.  The screen and the kernel read
+    the same cached sums, whose last bits depend on the sequence of
+    removals and additions that built them; float64 keeps `ModelUpdate`'s
+    remove-then-add sequence (see `_set_col_bound_raw`), since shifting a
+    sum by a*(new-old) would change those bits and with them the kernel's
     results.  Exact sums have no such bits: rational mode shifts them, and
     with rtol = 0 and feastol = 0 there is no margin and the need is
     exactly |a|*(up-lo), INF for an infinite bound.  It is never NaN (0
     times an infinite bound): `max()` over a row's needs drops a NaN that
-    does not come first, so probing's screen could skip a row on a
-    largest need below the entry's.
+    does not come first, so probing could skip a row on a largest need
+    below the entry's.
 
     The need never grows when the bounds shrink inside [lo, up]: for
     lo <= lo' <= up' <= up, |lo'| + |up'| <= |lo| + |up| + (up-lo) -
@@ -267,36 +272,23 @@ def slack_need(a: Number, lo: Number, up: Number, integral: bool,
     return mag * (up - lo + rtol * (abs(lo) + abs(up)))
 
 
-def tightening_sides(state: Sequence, a: Number, lo: Number, up: Number,
-                     lhs: Optional[Number], rhs: Optional[Number],
-                     integral: bool, rtol: Number, feastol: Number
-                     ) -> Tuple[Optional[Number], Optional[Number]]:
-    """(lhs, rhs) with each side that cannot tighten the entry's bounds
-    through `implied_bounds` replaced by None: the slack test run in front
-    of the kernel.  The arguments are the kernel's; rtol is GATE_RTOL in
-    float64 and 0 (an exact test) for rationals, and feastol is the
-    context's.
-
-    A side cannot tighten the entry when it is None, when the row's
-    infinity count for it is 2 or more, when that count is 1 and this
-    entry's share is finite, or when the count is 0 and the row's slack,
-    rhs - min_sum or max_sum - lhs, exceeds
-    `slack_need(a, lo, up, integral, feastol, rtol)` + rtol*(|side| +
-    |sum|); `slack_need` derives the bound and its margin.  Any comparison
-    with an infinity or NaN in it is false, so the side stays.
-    """
-    min_sum, max_sum, n_min_inf, n_max_inf = state
-    need = slack_need(a, lo, up, integral, feastol, rtol)
+def screen_threshold(state: Sequence, lhs: Optional[Number],
+                     rhs: Optional[Number], rtol: Number) -> Number:
+    """The row screen's threshold for a row state with no infinite share:
+    the smaller slack of the present sides, rhs - min_sum and max_sum -
+    lhs, each less its rtol*(|side| + |sum|) margin (none when rtol is 0).
+    An entry whose `slack_need` is below it has both slacks above its need
+    plus their margins, so the row cannot tighten it from either side;
+    with no side, nothing can."""
+    thr = INF
     if rhs is not None:
-        if n_min_inf:
-            if n_min_inf > 1 or is_finite(lo if a > 0 else up):
-                rhs = None
-        elif need + rtol * (abs(rhs) + abs(min_sum)) < rhs - min_sum:
-            rhs = None
+        thr = rhs - state[0]
+        if rtol:
+            thr -= rtol * (abs(rhs) + abs(state[0]))
     if lhs is not None:
-        if n_max_inf:
-            if n_max_inf > 1 or is_finite(up if a > 0 else lo):
-                lhs = None
-        elif need + rtol * (abs(lhs) + abs(max_sum)) < max_sum - lhs:
-            lhs = None
-    return lhs, rhs
+        other = state[1] - lhs
+        if rtol:
+            other -= rtol * (abs(lhs) + abs(state[1]))
+        if other < thr:
+            thr = other
+    return thr

@@ -26,19 +26,16 @@ it touches.  Moving a boxed column's shares needs no finiteness test.
 The sorted entries and resolved sides of the rows it reads are kept for
 the call.
 
-Two exact early exits run in front of the kernel, both built on
-`common.slack_need`, which includes the whole step an integral column's
-bound needs.  The row screen: when a row is first read, each entry's need
-is computed from the call's global bounds, which bound its need in every
-branch because a branch only shrinks bounds.  On a visit of a row with no
-infinite share, one threshold, the smaller slack of its present sides
-less the margin, is compared with those needs.  An entry whose need is
-below it is skipped, and the whole row when its largest need is; the
-threshold is recomputed after each bound change in the row.  In float64
-the margin is GATE_RTOL relative, and each unfixed entry the screen lets
-through then meets the slack test `tightening_sides` with its branch
-bounds.  In rational mode the screen has no margin, and there is no
-slack test, which cost more there than the kernel calls it saved.
+The row screen of `common.screen_threshold`, the one early exit in front
+of the kernel, runs in both modes with `common.screen_rtol`'s margin.
+When a row is first read, each entry's `common.slack_need`, which
+includes the whole step an integral column's bound needs, is computed
+from the call's global bounds; they bound its need in every branch
+because a branch only shrinks bounds.  On a visit of a row with no
+infinite share, the row's threshold is compared with those needs.  An
+entry whose need is below it is skipped, and the whole row when its
+largest need is; the threshold is recomputed after each bound change in
+the row.  Every other unfixed entry goes to the kernel.
 
 A branch's bound change moves the column's shares in its rows' scratch
 activities.  Float64 subtracts the old share and adds the new one, as
@@ -60,8 +57,8 @@ from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
 from ..parallel import chunk_evenly, fork_map
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import (GATE_RTOL, PresolveView, finite_side, implied_bounds,
-                     slack_need, tightening_sides)
+from .common import (PresolveView, finite_side, implied_bounds,
+                     screen_rtol, screen_threshold, slack_need)
 
 # candidates a probing call that is not its first probes between two
 # checks for progress; a batch that yields nothing ends the call
@@ -377,27 +374,6 @@ def _cache_row(rows: Dict[int, tuple], p, i: int, rtol: Number) -> tuple:
     return row
 
 
-def _screen_threshold(st: list, lhs: Optional[Number],
-                      rhs: Optional[Number], rtol: Number) -> Number:
-    """The row screen's threshold for a row state with no infinite share:
-    the smaller slack of the present sides less its rtol*(|side| + |sum|)
-    margin, none when rtol is 0.  An entry whose need is below it cannot
-    be tightened by the row (see `common.slack_need`); with no side,
-    nothing can."""
-    thr = INF
-    if rhs is not None:
-        thr = rhs - st[0]
-        if rtol:
-            thr -= rtol * (abs(rhs) + abs(st[0]))
-    if lhs is not None:
-        other = st[1] - lhs
-        if rtol:
-            other -= rtol * (abs(lhs) + abs(st[1]))
-        if other < thr:
-            thr = other
-    return thr
-
-
 def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                      val: int, ws: Optional[tuple] = None):
     """Fix binary k to val and run up to two propagation passes on the
@@ -416,10 +392,9 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
     act = view.activities
     col_lower, col_upper, cols = p.col_lower, p.col_upper, p.cols
     integral = p.col_integral
-    feastol = ctx.feastol
     lower, upper, boxed = ws if ws is not None else _workspace(p)
-    gate = ctx.mode is Mode.FLOAT64
-    rtol = GATE_RTOL if gate else 0
+    exact = ctx.mode is Mode.RATIONAL
+    rtol = screen_rtol(ctx)
     changed: List[int] = []
     rowstate: Dict[int, list] = {}
 
@@ -440,7 +415,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
             # change of the count of infinite lower/upper bounds
             d_lo = (not new_lo_fin) - (not lo_fin)
             d_up = (not new_up_fin) - (not up_fin)
-        shift = all_fin and not gate
+        shift = all_fin and exact
         if shift:
             step_lo = new_lo - lo if new_lo != lo else None
             step_up = new_up - up if new_up != up else None
@@ -509,7 +484,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                     return None
                 # the row screen, for rows with no infinite share
                 screen = not st[2] and not st[3]
-                thr = _screen_threshold(st, lhs, rhs, rtol) if screen \
+                thr = screen_threshold(st, lhs, rhs, rtol) if screen \
                     else NEG_INF
                 if top < thr:
                     continue
@@ -519,15 +494,8 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                     lo, up = lower[j], upper[j]
                     if lo == up:
                         continue
-                    lhs_j, rhs_j = lhs, rhs
-                    if gate:
-                        lhs_j, rhs_j = tightening_sides(
-                            st, a, lo, up, lhs, rhs, integral[j], GATE_RTOL,
-                            feastol)
-                        if lhs_j is None and rhs_j is None:
-                            continue
-                    imp_lo, imp_up = implied_bounds(ctx, st, a, lo, up, lhs_j,
-                                                    rhs_j, integral[j])
+                    imp_lo, imp_up = implied_bounds(ctx, st, a, lo, up, lhs,
+                                                    rhs, integral[j])
                     new_lo = imp_lo if imp_lo is not NEG_INF and imp_lo > lo \
                         else lo
                     new_up = imp_up if imp_up is not INF and imp_up < up \
@@ -538,7 +506,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                         set_bounds(j, lo, up, new_lo, new_up)
                         next_affected.update(cols[j])
                         if screen:
-                            thr = _screen_threshold(st, lhs, rhs, rtol)
+                            thr = screen_threshold(st, lhs, rhs, rtol)
             affected = next_affected
             if not affected:
                 break

@@ -1,16 +1,19 @@
-"""Fast presolvers: scan only rows/columns changed since their last call."""
+"""Fast presolvers: scan only rows/columns changed since their last call.
+
+Propagation calls the bound kernel `common.implied_bounds` behind the row
+screen of `common.screen_threshold`, the same early exit as probing's."""
 from __future__ import annotations
 
 from typing import List
 
 from ..model import InfeasibleError
-from ..numerics import (INF, NEG_INF, Mode, div, is_finite,
+from ..numerics import (INF, NEG_INF, div, is_finite,
                         bound_improves_lower, bound_improves_upper)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import (GATE_RTOL, PresolveView, coeff_gcd, finite_side,
-                     has_units, implied_bounds, integral_coeffs,
-                     tightening_sides)
+from .common import (PresolveView, coeff_gcd, finite_side, has_units,
+                     implied_bounds, integral_coeffs, screen_rtol,
+                     screen_threshold, slack_need)
 
 
 def run_colsingleton(view: PresolveView) -> List[Transaction]:
@@ -137,13 +140,14 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
 def run_propagation(view: PresolveView) -> List[Transaction]:
     """Activity-based bound tightening plus redundant-row detection.
 
-    The slack test runs in front of the kernel in both modes, with
-    GATE_RTOL's margin in float64 and none (an exact test) in rational
-    mode, where it leaves the kernel about a fifth of the entries."""
+    The row screen runs in front of the kernel in both modes: a row with
+    no infinite share gets one `screen_threshold`, and an entry whose
+    `slack_need` lies below it is skipped."""
     p = view.problem
     ctx = view.ctx
     act = view.activities
-    rtol = GATE_RTOL if ctx.mode is Mode.FLOAT64 else 0
+    rtol = screen_rtol(ctx)
+    feastol = ctx.feastol
     txs: List[Transaction] = []
     for i in view.scan_rows():
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
@@ -164,14 +168,15 @@ def run_propagation(view: PresolveView) -> List[Transaction]:
             continue
         state = act.snapshot(i)
         lhs, rhs = finite_side(lhs), finite_side(rhs)
+        thr = NEG_INF if state[2] or state[3] else \
+            screen_threshold(state, lhs, rhs, rtol)
         for j, a in entries:
             lo, up = p.col_lower[j], p.col_upper[j]
             integral = p.col_integral[j]
-            lhs_j, rhs_j = tightening_sides(state, a, lo, up, lhs, rhs,
-                                            integral, rtol, ctx.feastol)
-            if lhs_j is None and rhs_j is None:
+            if thr is not NEG_INF and \
+                    slack_need(a, lo, up, integral, feastol, rtol) < thr:
                 continue
-            lower, upper = implied_bounds(ctx, state, a, lo, up, lhs_j, rhs_j,
+            lower, upper = implied_bounds(ctx, state, a, lo, up, lhs, rhs,
                                           integral)
             # INF/NEG_INF mean no bound: no comparison with an infinity
             steps = []

@@ -11,7 +11,7 @@ ParallelCols rebuild only the support buckets of the lines they scan.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..model import InfeasibleError, UnboundedError
 from ..numerics import (INF, NEG_INF, Number, bound_improves_lower,
@@ -107,6 +107,29 @@ def _support_buckets(view: PresolveView, lines, cross, scan: List[int],
     return buckets
 
 
+def _parallel_classes(ctx, lines: List[int],
+                      vector: Callable[[int], List[Number]]
+                      ) -> List[List[int]]:
+    """The classes of two or more lines whose vectors are parallel, in
+    order of their first line.  Each vector is divided by its first entry;
+    a line joins the first class whose first line's ratios are approx_eq
+    to its own, entry by entry, or opens a class."""
+    classes: List[List[int]] = []
+    reps: List[List[Number]] = []
+    for k in lines:
+        vec = vector(k)
+        base = vec[0]
+        ratios = [div(v, base) for v in vec]
+        for members, rep in zip(classes, reps):
+            if all(ctx.approx_eq(a, b) for a, b in zip(ratios, rep)):
+                members.append(k)
+                break
+        else:
+            classes.append([k])
+            reps.append(ratios)
+    return [members for members in classes if len(members) > 1]
+
+
 def run_parallelrows(view: PresolveView) -> List[Transaction]:
     """Merge classes of rows with proportional coefficient vectors into one
     surviving row whose sides are the intersection of the scaled sides."""
@@ -117,24 +140,8 @@ def run_parallelrows(view: PresolveView) -> List[Transaction]:
     for support, rows in sorted(buckets.items()):
         if len(rows) < 2:
             continue
-        classes: List[List[int]] = []
-        reps: List[List[Number]] = []
-        for i in rows:
-            vec = [v for _, v in p.row_entries(i)]
-            base = vec[0]
-            ratios = [div(v, base) for v in vec]
-            placed = False
-            for ci, rep in enumerate(reps):
-                if all(ctx.approx_eq(a, b) for a, b in zip(ratios, rep)):
-                    classes[ci].append(i)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([i])
-                reps.append(ratios)
-        for members in classes:
-            if len(members) < 2:
-                continue
+        for members in _parallel_classes(
+                ctx, rows, lambda i: [v for _, v in p.row_entries(i)]):
             keep = members[0]
             base = p.rows[keep][support[0]]
             new_lhs, new_rhs = p.row_lhs[keep], p.row_rhs[keep]
@@ -182,24 +189,9 @@ def run_parallelcols(view: PresolveView) -> List[Transaction]:
     for support, cols in sorted(buckets.items()):
         if len(cols) < 2:
             continue
-        classes: List[List[int]] = []
-        reps: List[List[Number]] = []
-        for j in cols:
-            vec = [v for _, v in p.col_entries(j)]
-            base = vec[0]
-            ratios = [div(v, base) for v in vec] + [div(p.obj[j], base)]
-            placed = False
-            for ci, rep in enumerate(reps):
-                if all(ctx.approx_eq(a, b) for a, b in zip(ratios, rep)):
-                    classes[ci].append(j)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([j])
-                reps.append(ratios)
-        for members in classes:
-            if len(members) < 2:
-                continue
+        for members in _parallel_classes(
+                ctx, cols,
+                lambda j: [v for _, v in p.col_entries(j)] + [p.obj[j]]):
             kept = members[0]
             base = p.cols[kept][support[0]]
             kept_int = p.col_integral[kept]

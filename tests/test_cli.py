@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -230,8 +231,9 @@ class TestParameterPrecedence:
 
 
 class TestRejectedOptions:
-    """A negative thread count and an unknown presolver name fail with an
-    error that names the key, through the API and the command line."""
+    """A negative thread count or round limit, an abort factor outside
+    [0, 1] and an unknown presolver name fail with an error that names the
+    key, through the API and the command line."""
 
     def test_negative_threads_api(self):
         from premip import PresolveOptions, presolve
@@ -245,6 +247,29 @@ class TestRejectedOptions:
         assert PresolveOptions(threads=0).resolved_threads() == usable_cpus()
         if hasattr(os, "sched_getaffinity"):
             assert usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("key, attr, raw, value", [
+        ("presolve.abortfac", "abortfac", "-1", -1.0),
+        ("presolve.abortfac", "abortfac", "nan", math.nan),
+        ("presolve.abortfac", "abortfac", "1.5", 1.5),
+        ("presolve.maxrounds", "max_rounds", "-3", -3),
+    ])
+    def test_out_of_range_api(self, key, attr, raw, value):
+        from premip import PresolveOptions, presolve
+        with pytest.raises(ValueError, match=key):
+            PresolveOptions().set_param(key, raw)
+        with pytest.raises(ValueError, match=key):
+            presolve(_knap_problem(), PresolveOptions(**{attr: value}))
+
+    def test_range_ends_accepted(self):
+        from premip import PresolveOptions, presolve
+        opts = PresolveOptions()
+        for key, raw in (("presolve.abortfac", "0"),
+                         ("presolve.abortfac", "1"),
+                         ("presolve.maxrounds", "0")):
+            opts.set_param(key, raw)
+        assert (opts.abortfac, opts.max_rounds) == (1.0, 0)
+        presolve(_knap_problem(), opts)
 
     def test_unknown_presolver_api(self):
         from premip import PresolveOptions, presolve
@@ -262,6 +287,9 @@ class TestRejectedOptions:
         (["--set", "presolve.threads=-4"], "presolve.threads"),
         (["--set", "presolve.probin.enabled=false"],
          "presolve.probin.enabled"),
+        (["--abortfac", "-1"], "presolve.abortfac"),
+        (["--set", "presolve.abortfac=nan"], "presolve.abortfac"),
+        (["--set", "presolve.maxrounds=-3"], "presolve.maxrounds"),
     ])
     def test_cli(self, knap, tmp_path, capsys, argv, key):
         reduced = tmp_path / "r.mps"

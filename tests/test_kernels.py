@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import premip.presolvers as presolvers
 import premip.presolvers.exhaustive as exhaustive
+import premip.presolvers.fast as fast
 from premip import (NumericContext, PresolveOptions, Problem, apply_all,
                     presolve)
 from premip.model import InfeasibleError, ModelUpdate, RowActivities
@@ -21,12 +22,13 @@ import premip.parallel as parallel
 from premip.parallel import fork_map
 from premip.presolvers import PresolveView, runner
 from premip.presolvers.common import (GATE_RTOL, finite_side,
-                                      implied_bounds, slack_need,
-                                      tightening_sides)
+                                      implied_bounds, screen_rtol,
+                                      screen_threshold, slack_need)
 from premip.transactions import (ReductionStep, StepKind, Transaction,
                                  assert_col_bounds)
 
-from conftest import quotient, random_medium_mip, to_rational
+from conftest import (quotient, random_medium_mip, random_mixed_mip,
+                      random_small_mip, to_rational)
 from test_acceptance import probing_chain_instance
 
 FLOAT = NumericContext.float64()
@@ -212,7 +214,7 @@ class TestNoneSides:
 
 
 # ---------------------------------------------------------------------------
-# the slack test in front of the kernel
+# the row screen in front of the kernel
 
 
 def _magnitude(rational):
@@ -278,69 +280,142 @@ def gate_cases(draw, rational):
     return state, a, lo, up, lhs, rhs, integral
 
 
-def _check_gate(ctx, rtol, case):
+def _check_screen(ctx, case):
+    """On a row with no infinite share, an entry whose need lies below the
+    row's threshold gets no bound from the kernel that is tighter than its
+    own.  A row with an infinite share is not screened; there the kernel
+    itself gives nothing from a side whose infinity count is 2 or more, or
+    1 with the entry's own share finite."""
     state, a, lo, up, lhs, rhs, integral = case
-    gated = tightening_sides(state, a, lo, up, lhs, rhs, integral, rtol,
-                             ctx.feastol)
-    assert gated[0] in (lhs, None) and gated[1] in (rhs, None)
-    for name, kept in zip(("lhs", "rhs"), gated):
-        side = lhs if name == "lhs" else rhs
-        if side is None or kept is not None:
-            continue
-        only = (side, None) if name == "lhs" else (None, side)
-        lower, upper = implied_bounds(ctx, state, a, lo, up, *only, integral)
-        assert not upper < up and not lower > lo, (name, lower, upper)
-    return gated
+    if state[2] or state[3]:
+        own_min, own_max = (lo, up) if a > 0 else (up, lo)
+        for count, own, only in ((state[2], own_min, (None, rhs)),
+                                 (state[3], own_max, (lhs, None))):
+            if only == (None, None) or not (
+                    count > 1 or count and is_finite(own)):
+                continue
+            assert implied_bounds(ctx, state, a, lo, up, *only,
+                                  integral) == (NEG_INF, INF)
+        return
+    rtol = screen_rtol(ctx)
+    need = slack_need(a, lo, up, integral, ctx.feastol, rtol)
+    if need < screen_threshold(state, lhs, rhs, rtol):
+        lower, upper = implied_bounds(ctx, state, a, lo, up, lhs, rhs,
+                                      integral)
+        assert not upper < up and not lower > lo, (lower, upper)
 
 
 class TestSlackGate:
-    """Whenever the gate drops a side, the kernel's bound from that side
-    is not strictly tighter than the entry's bound."""
+    """The row screen, the one slack gate in front of the kernel: an entry
+    it skips cannot be tightened by the row."""
 
     @settings(max_examples=1500, deadline=None)
     @given(gate_cases(rational=False))
     def test_float64(self, case):
-        _check_gate(FLOAT, GATE_RTOL, case)
+        _check_screen(FLOAT, case)
 
     @settings(max_examples=600, deadline=None)
     @given(gate_cases(rational=True))
     def test_rational_exact(self, case):
-        _check_gate(RATIONAL, 0, case)
+        _check_screen(RATIONAL, case)
 
     def test_drops_the_sides_of_a_loose_row(self):
         # 10*x0 - x1 - ... - x10 <= 0 over binaries: without the integral
         # step every entry's range fits in the slack except x0's
         state = (-10.0, 10.0, 0, 0)
-        assert tightening_sides(state, -1.0, 0.0, 1.0, None, 0.0, True,
-                                GATE_RTOL, 0.0) == (None, None)
-        assert tightening_sides(state, 10.0, 0.0, 1.0, None, 0.0, True,
-                                GATE_RTOL, 0.0) == (None, 0.0)
-        # a half-integral bound of an integral column keeps its side
-        assert tightening_sides(state, -1.0, 0.0, 1.5, None, 0.0, True,
-                                GATE_RTOL, FLOAT.feastol) == (None, 0.0)
+        thr = screen_threshold(state, None, 0.0, GATE_RTOL)
+        assert slack_need(-1.0, 0.0, 1.0, True, 0.0, GATE_RTOL) < thr
+        assert not slack_need(10.0, 0.0, 1.0, True, 0.0, GATE_RTOL) < thr
+        # a half-integral bound of an integral column is read
+        assert not slack_need(-1.0, 0.0, 1.5, True, FLOAT.feastol,
+                              GATE_RTOL) < thr
+        # a second side with a small slack is the threshold: every entry
+        # goes to the kernel with both sides
+        thr = screen_threshold(state, 9.5, 0.0, GATE_RTOL)
+        assert not slack_need(-1.0, 0.0, 1.0, True, 0.0, GATE_RTOL) < thr
+        # no side: nothing can be tightened
+        assert screen_threshold(state, None, None, GATE_RTOL) == INF
 
     def test_integral_step(self):
         """x0's cap sits exactly on its bound, 0 + 10/10 = 1: an integral
-        x0 needs a whole step, so its side goes; a continuous one keeps
-        it, and so does a slack a little short of the range."""
+        x0 needs a whole step, so the screen skips it; a continuous one is
+        read, and so is an integral one under a slack a little short of
+        the range."""
         state = (-10.0, 10.0, 0, 0)
         feastol = FLOAT.feastol
-        assert tightening_sides(state, 10.0, 0.0, 1.0, None, 0.0, True,
-                                GATE_RTOL, feastol) == (None, None)
-        assert tightening_sides(state, 10.0, 0.0, 1.0, None, 0.0, False,
-                                GATE_RTOL, feastol) == (None, 0.0)
+
+        def skipped(rhs, integral):
+            return slack_need(10.0, 0.0, 1.0, integral, feastol,
+                              GATE_RTOL) < screen_threshold(state, None, rhs,
+                                                            GATE_RTOL)
+
+        assert skipped(0.0, True)
+        assert not skipped(0.0, False)
         for rhs in (-20 * feastol, -0.5):
-            assert tightening_sides(state, 10.0, 0.0, 1.0, None, rhs, True,
-                                    GATE_RTOL, feastol) == (None, rhs)
+            assert not skipped(rhs, True)
             upper = implied_bounds(FLOAT, state, 10.0, 0.0, 1.0, None, rhs,
                                    True)[1]
             assert upper == 0.0
-        # within feastol of the step the kernel rounds back up: no side
+        # within feastol of the step the kernel rounds back up: skipped
         rhs = -5 * feastol
         assert implied_bounds(FLOAT, state, 10.0, 0.0, 1.0, None, rhs,
                               True)[1] == 1.0
-        assert tightening_sides(state, 10.0, 0.0, 1.0, None, rhs, True,
-                                GATE_RTOL, feastol) == (None, None)
+        assert skipped(rhs, True)
+
+    def test_margin_covers_the_kernels_rounding(self):
+        """A slack equal to the entry's range, about 1.46e-6 above a
+        minimum activity near 1000: the kernel's rounding puts the cap
+        1e-11 inside the bound.  Without the margin the screen would skip
+        the entry; with float64's margin it is read."""
+        state = (999.999997081472, 999.999998540736, 0, 0)
+        a = 0.0012079999999999999
+        lo, up, rhs = -2 * a, -a, state[1]
+        assert implied_bounds(FLOAT, state, a, lo, up, None, rhs,
+                              False)[1] < up
+        need = slack_need(a, lo, up, False, FLOAT.feastol, 0)
+        assert need < screen_threshold(state, None, rhs, 0)
+        rtol = screen_rtol(FLOAT)
+        need = slack_need(a, lo, up, False, FLOAT.feastol, rtol)
+        assert not need < screen_threshold(state, None, rhs, rtol)
+
+    @pytest.mark.parametrize("rational", [False, True],
+                             ids=["float64", "rational"])
+    def test_propagation_equals_propagation_without_the_screen(
+            self, monkeypatch, rational):
+        """run_propagation's transactions, and those of the whole presolve
+        around it, equal those of every entry going to the kernel."""
+        instances = [probing_chain_instance(60)]
+        for seed in range(4):
+            rng = random.Random(seed)
+            instances += [random_small_mip(rng), random_mixed_mip(rng)]
+            instances.append(random_medium_mip(random.Random(seed), 60, 40))
+            instances.append(_open_bounds(
+                random_medium_mip(random.Random(seed), 60, 40),
+                random.Random(seed)))
+        if rational:
+            instances = [to_rational(p) for p in instances]
+
+        def propagate_all():
+            out = []
+            for p in instances:
+                upd = ModelUpdate(p.copy())
+                view = PresolveView(upd.problem, upd.activities, upd.locks)
+                try:
+                    out.append(repr(fast.run_propagation(view)))
+                except InfeasibleError as err:
+                    out.append(str(err))
+                res = presolve(p.copy(), PresolveOptions(
+                    disabled={"probing"}))
+                out.append((res.problem.stable_hash(), res.stats.as_dict()))
+            return out
+
+        screened = propagate_all()
+        assert sum(t.count("Transaction(") for t in screened[::2]) > 100
+        assert sum(stats.get("presolver.propagation.found", 0)
+                   for _, stats in screened[1::2]) > 100
+        monkeypatch.setattr(fast, "screen_threshold",
+                            lambda state, lhs, rhs, rtol: NEG_INF)
+        assert propagate_all() == screened
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +475,16 @@ _FLOAT_VALUE = re.compile(r"(value|scale)=-?\d*(\.\d|\de[-+]?\d)")
 
 
 class TestProbingScreen:
-    """An entry the screen skips, its need from the global box below the
-    row's threshold, cannot be tightened by the kernel in any branch box
-    inside the global one."""
+    """An entry probing's screen skips, its need from the global box below
+    the row's threshold, cannot be tightened by the kernel in any branch
+    box inside the global one."""
 
     @settings(max_examples=3000, deadline=None)
     @given(screen_cases())
     def test_need_below_threshold_cannot_tighten(self, case):
         state, a, lo, up, sub_lo, sub_up, lhs, rhs, integral = case
         need = slack_need(a, lo, up, integral, FLOAT.feastol, GATE_RTOL)
-        if not need < exhaustive._screen_threshold(list(state), lhs, rhs,
-                                                   GATE_RTOL):
+        if not need < screen_threshold(state, lhs, rhs, GATE_RTOL):
             return
         lower, upper = implied_bounds(FLOAT, state, a, sub_lo, sub_up, lhs,
                                       rhs, integral)
@@ -419,21 +493,20 @@ class TestProbingScreen:
     def test_skips_a_binary_whose_cap_sits_on_its_bound(self):
         # 10*x0 - x1 - ... - x10 <= 0 with x0's cap exactly 1
         st_ = [-10.0, 10.0, 0, 0]
-        thr = exhaustive._screen_threshold(st_, None, 0.0, GATE_RTOL)
+        thr = screen_threshold(st_, None, 0.0, GATE_RTOL)
         assert slack_need(10.0, 0.0, 1.0, True, FLOAT.feastol,
                           GATE_RTOL) < thr
         assert not slack_need(10.0, 0.0, 1.0, False, FLOAT.feastol,
                               GATE_RTOL) < thr
         # with one window entry fixed to 0, x0 can reach 0: no skip
-        thr = exhaustive._screen_threshold([-9.0, 10.0, 0, 0], None, 0.0,
-                                           GATE_RTOL)
+        thr = screen_threshold([-9.0, 10.0, 0, 0], None, 0.0, GATE_RTOL)
         assert not slack_need(10.0, 0.0, 1.0, True, FLOAT.feastol,
                               GATE_RTOL) < thr
 
     def test_probing_equals_probing_without_early_exits(self, monkeypatch):
-        """run_probing's transactions with the screen and the slack test
-        equal those of every entry going to the kernel, in float64 and in
-        rational mode, where the screen runs with zero margin."""
+        """run_probing's transactions with the screen equal those of every
+        entry going to the kernel, in float64 and in rational mode, where
+        the screen runs with zero margin."""
         instances = [probing_chain_instance(60)]
         for seed in range(4):
             instances.append(_open_bounds(
@@ -460,10 +533,8 @@ class TestProbingScreen:
         exact = screened[len(screened) // 2:]
         assert sum(t.count("Transaction(") for t in exact) > 100
         assert not any(_FLOAT_VALUE.search(t) for t in exact)
-        monkeypatch.setattr(exhaustive, "_screen_threshold",
+        monkeypatch.setattr(exhaustive, "screen_threshold",
                             lambda st_, lhs, rhs, rtol: NEG_INF)
-        monkeypatch.setattr(exhaustive, "tightening_sides",
-                            lambda st_, a, lo, up, lhs, rhs, *rest: (lhs, rhs))
         assert probe_all() == screened
 
     @pytest.mark.parametrize("ctx", [FLOAT, RATIONAL], ids=["float64",
@@ -481,9 +552,9 @@ class TestProbingScreen:
         p.add_col(0, INF, 0, False)
         p.add_row({0: -10, 2: 1}, NEG_INF, 0)
         p.add_row({1: 1, 2: 1}, NEG_INF, 5)
-        rtol = GATE_RTOL if ctx is FLOAT else 0
         rows = {}
-        entries, _, _, top = exhaustive._cache_row(rows, p, 1, rtol)
+        entries, _, _, top = exhaustive._cache_row(rows, p, 1,
+                                                   screen_rtol(ctx))
         assert entries[1][2] == INF and top == INF
         upd = ModelUpdate(p)
         view = PresolveView(upd.problem, upd.activities, upd.locks)

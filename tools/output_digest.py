@@ -21,7 +21,9 @@ same corpus:
   `random_mixed_mip` seeds 0-149, each batched and applied immediately;
 - `random_mixed_mip` seeds 0-29 after an MPS write and read;
 - 12 `random_medium_mip(300, 250)` at 1 and 2 threads, as drawn and with a
-  quarter of the bounds opened to infinity;
+  quarter of the bounds opened to infinity, and the opened ones' exact
+  rational copies at 1 thread, where infinite shares meet exact
+  arithmetic;
 - 8 all-integer rational `random_medium_mip(300, 250)` at 2 threads;
 - the 3000x2500 `random_medium_mip` at 1 thread;
 - the relabelled `probing_chain_instance(400)` and `(1200)` at 2 threads.
@@ -83,6 +85,8 @@ def _runs():
             yield (f"medium-{seed}-t{threads}", medium, opts(threads), False)
             yield (f"medium-open-{seed}-t{threads}", opened, opts(threads),
                    False)
+        yield (f"medium-open-rational-{seed}", to_rational(opened),
+               opts(mode="rational"), False)
     for k in range(8):
         exact = instances.random_medium_mip(
             random.Random(100 + k), 300, 250, ctx=NumericContext.rational(),
