@@ -106,7 +106,7 @@ def _cmd_presolve(args) -> int:
     for w in problem.validate():
         print(f"warning: {w}", file=sys.stderr)
 
-    log_fh = open(args.log, "w") if args.log else None
+    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     log = MessageLog(options.verbosity, log_fh) if log_fh else (
         MessageLog(options.verbosity, sys.stderr) if options.verbosity >= 2
         else None)
@@ -137,7 +137,7 @@ def _cmd_presolve(args) -> int:
     lines.append(f"presolve.seconds={result.stats.presolve_seconds:.6f}")
     text = "\n".join(lines) + "\n"
     if args.stats:
-        with open(args.stats, "w") as fh:
+        with open(args.stats, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -207,7 +207,7 @@ def _cmd_report(args) -> int:
                  f"transactions.shifted_geomean="
                  f"{shifted_geomean(totals, 1.0):.4f}\n")
     if args.output:
-        with open(args.output, "w") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .numerics import (INF, NEG_INF, Mode, Number, NumericContext, div,
-                       is_finite)
+from .numerics import (INF, NEG_INF, Mode, Number, NumericContext,
+                       affine_range, div, is_finite, quotient_range)
 
 
 class ColState(Enum):
@@ -848,13 +848,7 @@ class ModelUpdate:
         piv = self._substitute(j, i, p.row_entries(i), b, setter)
         # the defining row now carries the bounds of the eliminated column
         self._remove_entry(i, j)
-        if piv > 0:
-            new_lhs = b - piv * up if is_finite(up) else NEG_INF
-            new_rhs = b - piv * lo if is_finite(lo) else INF
-        else:
-            new_lhs = b - piv * lo if is_finite(lo) else NEG_INF
-            new_rhs = b - piv * up if is_finite(up) else INF
-        self._rewrite_sides(i, new_lhs, new_rhs, setter)
+        self._rewrite_sides(i, *affine_range(b, b, -piv, lo, up), setter)
         self._retire_col(j, ColState.SUBSTITUTED, setter)
         self._settle_defining_row(i, setter)
         return True
@@ -866,13 +860,9 @@ class ModelUpdate:
         ctx = self.ctx
         lo, up = p.col_lower[j], p.col_upper[j]
         self._substitute(j, -1, self._pair_equation(j, k, beta), alpha, setter)
-        # bounds of x_j imply bounds on x_k
-        if beta > 0:
-            imp_lo = div(lo - alpha, beta) if is_finite(lo) else NEG_INF
-            imp_up = div(up - alpha, beta) if is_finite(up) else INF
-        else:
-            imp_lo = div(up - alpha, beta) if is_finite(up) else NEG_INF
-            imp_up = div(lo - alpha, beta) if is_finite(lo) else INF
+        # bounds of x_j imply bounds on x_k = (x_j - alpha) / beta
+        imp_lo, imp_up = quotient_range(
+            *affine_range(lo, up, 1, -alpha, -alpha), beta)
         if p.col_integral[k]:
             imp_lo = ctx.round_up_bound(imp_lo)
             imp_up = ctx.round_down_bound(imp_up)
@@ -895,13 +885,7 @@ class ModelUpdate:
         rest = [(k, v) for k, v in p.row_entries(i) if k != j]
         self.record.append(FreeSingletonEntry(j, i, a, rest, lhs, rhs, lo, up))
         self._remove_entry(i, j)
-        if a > 0:
-            new_rhs = rhs - a * lo if (is_finite(rhs) and is_finite(lo)) else INF
-            new_lhs = lhs - a * up if (is_finite(lhs) and is_finite(up)) else NEG_INF
-        else:
-            new_rhs = rhs - a * up if (is_finite(rhs) and is_finite(up)) else INF
-            new_lhs = lhs - a * lo if (is_finite(lhs) and is_finite(lo)) else NEG_INF
-        self._rewrite_sides(i, new_lhs, new_rhs, setter)
+        self._rewrite_sides(i, *affine_range(lhs, rhs, -a, lo, up), setter)
         self.flags._mark(self.flags.row_bounds, i, setter)
         self._retire_col(j, ColState.INACTIVE, setter)
         self._settle_defining_row(i, setter)
@@ -921,12 +905,7 @@ class ModelUpdate:
             self._touch_row(r)
         p.obj[gone] = self.ctx.number(0)
         # merged bounds: y = x_kept + scale * x_gone
-        if scale > 0:
-            new_lo = lo_k + scale * lo_g if (is_finite(lo_k) and is_finite(lo_g)) else NEG_INF
-            new_up = up_k + scale * up_g if (is_finite(up_k) and is_finite(up_g)) else INF
-        else:
-            new_lo = lo_k + scale * up_g if (is_finite(lo_k) and is_finite(up_g)) else NEG_INF
-            new_up = up_k + scale * lo_g if (is_finite(up_k) and is_finite(lo_g)) else INF
+        new_lo, new_up = affine_range(lo_k, up_k, scale, lo_g, up_g)
         self._set_col_bound_raw(kept, "lower", new_lo, setter)
         self._set_col_bound_raw(kept, "upper", new_up, setter)
         self._retire_col(gone, ColState.SUBSTITUTED, setter)

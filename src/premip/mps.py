@@ -6,9 +6,10 @@ OBJSENSE (minimization only), ROWS, COLUMNS with INTORG/INTEND markers,
 RHS, RANGES, BOUNDS, ENDATA.  A bad or NaN literal, an infinite
 coefficient or objective value, a repeated COLUMNS entry (objective
 included), a header of another standard section (SOS, QUADOBJ, ...), a data
-line under NAME and a file that ends before ENDATA raise MpsError with the
-line number; so do a bad or NaN literal and a repeated column name in a
-solution file.  Infinite RHS, RANGES and BOUNDS values ('inf', 'infinity',
+line under NAME, a file that ends before ENDATA or declares no objective
+row, and bytes that are not UTF-8 raise MpsError with the line number; so
+do a bad or NaN literal, a repeated column name and bytes that are not
+UTF-8 in a solution file.  Infinite RHS, RANGES and BOUNDS values ('inf', 'infinity',
 signed or not, in any case) read as infinite in both number modes.
 Free-format data lines may start in column 1.
 Integral columns without BOUNDS entries get the modern default [0, +inf);
@@ -16,7 +17,8 @@ pass legacy_integer_bounds=True for the historical [0, 1] default.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import contextlib
+from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from .model import Problem
 from .numerics import INF, NEG_INF, Number, NumericContext, is_finite
@@ -34,6 +36,29 @@ _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES",
 # standard section headers of extended MPS that this reader cannot represent
 _UNSUPPORTED = {"SOS", "QUADOBJ", "QMATRIX", "QSECTION", "QCMATRIX",
                 "CSECTION", "INDICATORS", "LAZYCONS", "USERCUTS", "GENCONS"}
+
+
+@contextlib.contextmanager
+def read_text(path: str, error: Callable[[str, int], Exception]
+              ) -> Iterator[TextIO]:
+    """A UTF-8 text file opened for reading, line by line as a text-mode
+    open() gives it.  A byte sequence that is not UTF-8 raises
+    error(message, line) with the number of the line that holds it; only
+    then is the file read again, as bytes, to find that line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # bytes.splitlines() breaks where text mode does: \n, \r, \r\n
+            line = len((data[:exc.start] + b".").splitlines())
+            raise error(f"not UTF-8 text at byte 0x{data[exc.start]:02x}: "
+                        f"{exc.reason}", line) from None
+        raise
 
 
 def _parse_number(ctx: NumericContext, tok: str, lineno: int) -> Number:
@@ -69,6 +94,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
     explicit_lower: set = set()
     row_order: List[str] = []
     section = None
+    rows_line: Optional[int] = None  # where the first ROWS header is
 
     def get_col(name: str, lineno: int) -> int:
         if name not in col_index:
@@ -82,7 +108,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
 
     ended = False
     lineno = 0
-    with open(path) as fh:
+    with read_text(path, MpsError) as fh:
         for lineno, raw in enumerate(fh, 1):
             if raw.startswith("*") or not raw.strip():
                 continue
@@ -93,6 +119,8 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
             if headerish and tokens[0] in _SECTIONS and (
                     len(tokens) == 1 or tokens[0] in ("NAME", "OBJSENSE")):
                 section = tokens[0]
+                if section == "ROWS" and rows_line is None:
+                    rows_line = lineno
                 if section == "NAME":
                     problem.name = tokens[1] if len(tokens) > 1 else "problem"
                 if section == "ENDATA":
@@ -250,7 +278,8 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
         # write_mps always ends with ENDATA: without it the file was cut
         raise MpsError("file ends before ENDATA", lineno or None)
     if obj_row is None:
-        raise MpsError("no objective (N) row declared")
+        # at the ROWS header, or at ENDATA when there is none
+        raise MpsError("no objective (N) row declared", rows_line or lineno)
     if legacy_integer_bounds:
         for j in range(problem.ncols):
             if problem.col_integral[j] and j not in explicit_lower \
@@ -373,7 +402,7 @@ def write_mps(problem: Problem, path: str) -> None:
         if is_finite(up):
             lines.append(f" UP BND {cname} {fmt(up)}")
     lines.append("ENDATA")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -383,7 +412,7 @@ def write_mps(problem: Problem, path: str) -> None:
 
 def write_sol(path: str, names: List[str], values: List[Number],
               objective: Number, ctx: NumericContext) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"=obj= {ctx.format(objective)}\n")
         for name, v in zip(names, values):
             fh.write(f"{name} {ctx.format(v)}\n")
@@ -393,7 +422,7 @@ def read_sol(path: str, ctx: NumericContext
              ) -> Tuple[Dict[str, Number], Optional[Number]]:
     values: Dict[str, Number] = {}
     objective: Optional[Number] = None
-    with open(path) as fh:
+    with read_text(path, MpsError) as fh:
         for lineno, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):

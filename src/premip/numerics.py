@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -48,6 +48,30 @@ def div(a: Number, b: Number) -> Number:
         q, r = divmod(a, b)
         return q if not r else Fraction(a, b)
     return a / b
+
+
+def affine_range(lo_c: Number, up_c: Number, s: Number, lo: Number,
+                 up: Number) -> Tuple[Number, Number]:
+    """[lo_c, up_c] + s*[lo, up] as (lower, upper), the range of c + s*x
+    over a box; s < 0 swaps the ends of x's range.  An end with an
+    infinite operand is NEG_INF or INF: an infinite bound is never
+    multiplied, since 0*inf is NaN and an int above 1e308 times inf raises
+    OverflowError.  c - s*x is affine_range(c, c, -s, lo, up), bit for bit:
+    negation is exact and IEEE rounding is sign-symmetric."""
+    if s < 0:
+        lo, up = up, lo
+    return (lo_c + s * lo if is_finite(lo_c) and is_finite(lo) else NEG_INF,
+            up_c + s * up if is_finite(up_c) and is_finite(up) else INF)
+
+
+def quotient_range(lo: Number, up: Number, s: Number) -> Tuple[Number, Number]:
+    """[lo, up] / s as (lower, upper) through `div`; s < 0 swaps the ends,
+    and an infinite end stays NEG_INF or INF.  A shift before the division
+    goes through `affine_range` first, so it meets finite ends only."""
+    if s < 0:
+        lo, up = up, lo
+    return (div(lo, s) if is_finite(lo) else NEG_INF,
+            div(up, s) if is_finite(up) else INF)
 
 
 def exact(v: Union[str, Number]) -> Number:

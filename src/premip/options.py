@@ -5,6 +5,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Set
 
+from .mps import read_text
 from .numerics import Mode, NumericContext
 from .parallel import usable_cpus
 from .presolvers import PRESOLVER_NAMES
@@ -165,7 +166,8 @@ class PresolveOptions:
 def read_param_file(path: str) -> Dict[str, str]:
     """key = value lines; '#' starts a comment."""
     out: Dict[str, str] = {}
-    with open(path) as fh:
+    with read_text(path, lambda why, line: ValueError(
+            f"{path}:{line}: {why}")) as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

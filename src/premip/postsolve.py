@@ -15,7 +15,8 @@ from .model import (AggregateEntry, BoundChangeEntry, CoeffChangeEntry,
                     FixEntry, FreeSingletonEntry, ImplyIntegralEntry,
                     ModelUpdate, Problem, RedundantRowEntry, SideChangeEntry,
                     SubstituteEntry)
-from .numerics import (INF, NEG_INF, Number, NumericContext, div, is_finite)
+from .numerics import (Number, NumericContext, affine_range, div, is_finite,
+                       quotient_range)
 from .transactions import PostsolveRecord
 
 
@@ -90,12 +91,8 @@ def postsolve_primal(record: PostsolveRecord,
             rest = ctx.number(0)
             for k, a in e.rest:
                 rest = rest + a * need(k, idx)
-            if e.coeff > 0:
-                lo_cap = div(e.lhs - rest, e.coeff) if is_finite(e.lhs) else NEG_INF
-                up_cap = div(e.rhs - rest, e.coeff) if is_finite(e.rhs) else INF
-            else:
-                lo_cap = div(e.rhs - rest, e.coeff) if is_finite(e.rhs) else NEG_INF
-                up_cap = div(e.lhs - rest, e.coeff) if is_finite(e.lhs) else INF
+            lo_cap, up_cap = quotient_range(
+                *affine_range(e.lhs, e.rhs, 1, -rest, -rest), e.coeff)
             lo = max(lo_cap, e.lb)
             up = min(up_cap, e.ub)
             if not ctx.feas_leq(lo, up):
@@ -111,12 +108,7 @@ def postsolve_primal(record: PostsolveRecord,
         elif isinstance(e, AggregateEntry):
             y = need(e.kept, idx)
             s = e.scale
-            if s > 0:
-                up_cap = y - s * e.gone_lb if is_finite(e.gone_lb) else INF
-                lo_cap = y - s * e.gone_ub if is_finite(e.gone_ub) else NEG_INF
-            else:
-                up_cap = y - s * e.gone_ub if is_finite(e.gone_ub) else INF
-                lo_cap = y - s * e.gone_lb if is_finite(e.gone_lb) else NEG_INF
+            lo_cap, up_cap = affine_range(y, y, -s, e.gone_lb, e.gone_ub)
             hi = min(e.kept_ub, up_cap)
             lo = min(max(e.kept_lb, lo_cap), hi)
             if ctx.is_integral(s) and abs(s) > 1:

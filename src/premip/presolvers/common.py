@@ -152,13 +152,12 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
     an entry whose `slack_need` lies below it, and `run_propagation` and
     probing then skip the call, in both modes; `slack_need`'s docstring
     derives why the rounded cap of a skipped entry could not have improved
-    its bounds.  A row with an infinite share is not screened: the
-    residuals below are None where another share is infinite.
+    its bounds, and `screen_threshold`'s why that holds on every row.
 
     Some bound arithmetic stays outside this kernel on purpose:
-    - trivial presolve's singleton rows and DoubletonEq compute from sides
-      and bounds directly; the cached sums drift in the last bits once
-      entries are removed, so reading them would change those results;
+    - the range of c + s*x or x/s over a box comes from
+      `numerics.affine_range` and `quotient_range`, which read sides and
+      bounds: the cached sums drift in the last bits once entries go;
     - FixContinuous' `_worst_case_cap` and `_fix_value_feasible` compute
       other quantities;
     - probing's overlay update, which moves a column's shares in its rows'
@@ -266,6 +265,9 @@ def slack_need(a: Number, lo: Number, up: Number, integral: bool,
     if integral and not (_is_whole(lo) and _is_whole(up)):
         return INF
     if not rtol and not feastol:  # exact: no margin, no 0*inf
+        # an int above 1e308 next to an infinity raises OverflowError
+        if lo == NEG_INF or up == INF:
+            return INF
         return mag * (up - lo)
     if integral:
         return mag * (up - lo - feastol + rtol * (abs(lo) + abs(up)))
@@ -274,12 +276,15 @@ def slack_need(a: Number, lo: Number, up: Number, integral: bool,
 
 def screen_threshold(state: Sequence, lhs: Optional[Number],
                      rhs: Optional[Number], rtol: Number) -> Number:
-    """The row screen's threshold for a row state with no infinite share:
-    the smaller slack of the present sides, rhs - min_sum and max_sum -
-    lhs, each less its rtol*(|side| + |sum|) margin (none when rtol is 0).
-    An entry whose `slack_need` is below it has both slacks above its need
-    plus their margins, so the row cannot tighten it from either side;
-    with no side, nothing can."""
+    """The row screen's threshold for a row state: the smaller slack of the
+    present sides, rhs - min_sum and max_sum - lhs, each less its
+    rtol*(|side| + |sum|) margin (none when rtol is 0).  An entry whose
+    `slack_need` is below it has both slacks above its need plus their
+    margins, so the row cannot tighten it from either side; with no side,
+    nothing can.  It holds on every row: an entry with an infinite bound
+    has an infinite need; one with a finite box gets nothing from a side
+    with an infinite share, and on a side without one the slack is exact
+    and no smaller than the threshold, the minimum over both sides."""
     thr = INF
     if rhs is not None:
         thr = rhs - state[0]

@@ -31,11 +31,11 @@ of the kernel, runs in both modes with `common.screen_rtol`'s margin.
 When a row is first read, each entry's `common.slack_need`, which
 includes the whole step an integral column's bound needs, is computed
 from the call's global bounds; they bound its need in every branch
-because a branch only shrinks bounds.  On a visit of a row with no
-infinite share, the row's threshold is compared with those needs.  An
-entry whose need is below it is skipped, and the whole row when its
-largest need is; the threshold is recomputed after each bound change in
-the row.  Every other unfixed entry goes to the kernel.
+because a branch only shrinks bounds.  On each visit of a row, the row's
+threshold is compared with those needs.  An entry whose need is below it
+is skipped, and the whole row when its largest need is; the threshold is
+recomputed after each bound change in the row.  Every other unfixed
+entry goes to the kernel.
 
 A branch's bound change moves the column's shares in its rows' scratch
 activities.  Float64 subtracts the old share and adds the new one, as
@@ -482,10 +482,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                 if lhs is not None and not ctx.feas_leq(
                         lhs, INF if st[3] else st[1]):
                     return None
-                # the row screen, for rows with no infinite share
-                screen = not st[2] and not st[3]
-                thr = screen_threshold(st, lhs, rhs, rtol) if screen \
-                    else NEG_INF
+                thr = screen_threshold(st, lhs, rhs, rtol)
                 if top < thr:
                     continue
                 for j, a, need in entries:
@@ -505,8 +502,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                     if new_lo is not lo or new_up is not up:
                         set_bounds(j, lo, up, new_lo, new_up)
                         next_affected.update(cols[j])
-                        if screen:
-                            thr = screen_threshold(st, lhs, rhs, rtol)
+                        thr = screen_threshold(st, lhs, rhs, rtol)
             affected = next_affected
             if not affected:
                 break

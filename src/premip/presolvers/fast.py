@@ -1,7 +1,8 @@
 """Fast presolvers: scan only rows/columns changed since their last call.
 
 Propagation calls the bound kernel `common.implied_bounds` behind the row
-screen of `common.screen_threshold`, the same early exit as probing's."""
+screen of `common.screen_threshold` on every row, the same early exit as
+probing's."""
 from __future__ import annotations
 
 from typing import List
@@ -140,9 +141,9 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
 def run_propagation(view: PresolveView) -> List[Transaction]:
     """Activity-based bound tightening plus redundant-row detection.
 
-    The row screen runs in front of the kernel in both modes: a row with
-    no infinite share gets one `screen_threshold`, and an entry whose
-    `slack_need` lies below it is skipped."""
+    The row screen runs in front of the kernel in both modes: every row
+    gets one `screen_threshold`, and an entry whose `slack_need` lies
+    below it is skipped."""
     p = view.problem
     ctx = view.ctx
     act = view.activities
@@ -168,13 +169,11 @@ def run_propagation(view: PresolveView) -> List[Transaction]:
             continue
         state = act.snapshot(i)
         lhs, rhs = finite_side(lhs), finite_side(rhs)
-        thr = NEG_INF if state[2] or state[3] else \
-            screen_threshold(state, lhs, rhs, rtol)
+        thr = screen_threshold(state, lhs, rhs, rtol)
         for j, a in entries:
             lo, up = p.col_lower[j], p.col_upper[j]
             integral = p.col_integral[j]
-            if thr is not NEG_INF and \
-                    slack_need(a, lo, up, integral, feastol, rtol) < thr:
+            if slack_need(a, lo, up, integral, feastol, rtol) < thr:
                 continue
             lower, upper = implied_bounds(ctx, state, a, lo, up, lhs, rhs,
                                           integral)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..model import InfeasibleError, UnboundedError
-from ..numerics import (INF, NEG_INF, Number, bound_improves_lower,
-                        bound_improves_upper, div, is_finite)
+from ..numerics import (INF, Number, affine_range, bound_improves_lower,
+                        bound_improves_upper, div, is_finite, quotient_range)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
 from .common import PresolveView, coeff_gcd, has_units, integral_coeffs
@@ -147,13 +147,7 @@ def run_parallelrows(view: PresolveView) -> List[Transaction]:
             new_lhs, new_rhs = p.row_lhs[keep], p.row_rhs[keep]
             for m in members[1:]:
                 s = div(p.rows[m][support[0]], base)
-                ml, mr = p.row_lhs[m], p.row_rhs[m]
-                if s > 0:
-                    sl = div(ml, s) if is_finite(ml) else NEG_INF
-                    sr = div(mr, s) if is_finite(mr) else INF
-                else:
-                    sl = div(mr, s) if is_finite(mr) else NEG_INF
-                    sr = div(ml, s) if is_finite(ml) else INF
+                sl, sr = quotient_range(p.row_lhs[m], p.row_rhs[m], s)
                 new_lhs = max(new_lhs, sl)
                 new_rhs = min(new_rhs, sr)
             if not ctx.feas_leq(new_lhs, new_rhs):
@@ -213,13 +207,8 @@ def run_parallelcols(view: PresolveView) -> List[Transaction]:
                 steps.append(assert_col_bounds(m))
                 steps.append(ReductionStep(StepKind.AGGREGATE_PARALLEL_COLS,
                                            col=m, col2=kept, scale=s))
-                mlo, mup = p.col_lower[m], p.col_upper[m]
-                if s > 0:
-                    lo = lo + s * mlo if (is_finite(lo) and is_finite(mlo)) else NEG_INF
-                    up = up + s * mup if (is_finite(up) and is_finite(mup)) else INF
-                else:
-                    lo = lo + s * mup if (is_finite(lo) and is_finite(mup)) else NEG_INF
-                    up = up + s * mlo if (is_finite(up) and is_finite(mlo)) else INF
+                lo, up = affine_range(lo, up, s, p.col_lower[m],
+                                      p.col_upper[m])
                 merged.append(m)
             if merged:
                 txs.append(Transaction("parallelcols", steps))
@@ -235,6 +224,9 @@ def run_stuffing(view: PresolveView) -> List[Transaction]:
     column-singleton presolver left behind (nonzero cost, inequality)."""
     p = view.problem
     ctx = view.ctx
+    # the shares' constant, -0.0 in float64 (the int 0 in rational mode):
+    # -0.0 + x is x bit for bit, where 0.0 + -0.0 would give 0.0
+    nil = ctx.number(-0.0)
     txs: List[Transaction] = []
     for i in view.scan_rows():
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
@@ -253,14 +245,8 @@ def run_stuffing(view: PresolveView) -> List[Transaction]:
             wants_in = is_single and ((asn > 0 and c < 0) or (asn < 0 and c > 0))
             if wants_in:
                 lo, up = p.col_lower[j], p.col_upper[j]
-                if asn > 0:
-                    desired = up
-                    min_c = asn * lo if is_finite(lo) else NEG_INF
-                    des_c = asn * up if is_finite(up) else INF
-                else:
-                    desired = lo
-                    min_c = asn * up if is_finite(up) else NEG_INF
-                    des_c = asn * lo if is_finite(lo) else INF
+                desired = up if asn > 0 else lo
+                min_c, des_c = affine_range(nil, nil, asn, lo, up)
                 candidates.append((div(c, asn), j, asn, desired, min_c,
                                    des_c))
             else:
@@ -559,19 +545,8 @@ def run_doubletoneq(view: PresolveView) -> List[Transaction]:
             continue
         je, ae, jk, akk = elim
         # bounds of the eliminated variable imply bounds on the kept one
-        lo_e, up_e = p.col_lower[je], p.col_upper[je]
-        if ae > 0:
-            num_lo = b - ae * up_e if is_finite(up_e) else NEG_INF
-            num_up = b - ae * lo_e if is_finite(lo_e) else INF
-        else:
-            num_lo = b - ae * lo_e if is_finite(lo_e) else NEG_INF
-            num_up = b - ae * up_e if is_finite(up_e) else INF
-        if akk > 0:
-            imp_lo = div(num_lo, akk) if is_finite(num_lo) else NEG_INF
-            imp_up = div(num_up, akk) if is_finite(num_up) else INF
-        else:
-            imp_lo = div(num_up, akk) if is_finite(num_up) else NEG_INF
-            imp_up = div(num_lo, akk) if is_finite(num_lo) else INF
+        imp_lo, imp_up = quotient_range(*affine_range(
+            b, b, -ae, p.col_lower[je], p.col_upper[je]), akk)
         if p.col_integral[jk]:
             imp_lo = ctx.round_up_bound(imp_lo)
             imp_up = ctx.round_down_bound(imp_up)

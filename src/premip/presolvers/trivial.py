@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from ..model import InfeasibleError, UnboundedError
-from ..numerics import INF, NEG_INF, div, is_finite
+from ..numerics import is_finite, quotient_range
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
 from .common import PresolveView
@@ -89,13 +89,7 @@ def _singleton_row(view: PresolveView, i: int, entry) -> Transaction:
     p = view.problem
     ctx = view.ctx
     j, a = entry
-    lhs, rhs = p.row_lhs[i], p.row_rhs[i]
-    if a > 0:
-        implied_lo = div(lhs, a) if is_finite(lhs) else NEG_INF
-        implied_up = div(rhs, a) if is_finite(rhs) else INF
-    else:
-        implied_lo = div(rhs, a) if is_finite(rhs) else NEG_INF
-        implied_up = div(lhs, a) if is_finite(lhs) else INF
+    implied_lo, implied_up = quotient_range(p.row_lhs[i], p.row_rhs[i], a)
     if p.col_integral[j]:
         implied_lo = ctx.round_up_bound(implied_lo)
         implied_up = ctx.round_down_bound(implied_up)

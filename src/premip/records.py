@@ -27,6 +27,7 @@ from typing import BinaryIO, Callable, Dict, Iterator, Tuple
 from .model import (AggregateEntry, BoundChangeEntry, CoeffChangeEntry,
                     FixEntry, FreeSingletonEntry, ImplyIntegralEntry,
                     RedundantRowEntry, SideChangeEntry, SubstituteEntry)
+from .mps import read_text
 from .numerics import INF, NEG_INF, Mode, Number, NumericContext, exact
 from .postsolve import _ctx_for
 from .transactions import PostsolveRecord
@@ -251,7 +252,7 @@ def _fmt_num(v: Number, rational: bool) -> str:
 
 def _write_text(record: PostsolveRecord, path: str) -> None:
     rational = record.mode == "rational"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_TEXT_HEADER} {VERSION} {record.mode}\n")
         fh.write("tolerances " + " ".join(
             repr(float(tol)) for tol in _tolerances(record)) + "\n")
@@ -272,7 +273,8 @@ def _write_text(record: PostsolveRecord, path: str) -> None:
 
 
 def _read_text(path: str) -> PostsolveRecord:
-    with open(path) as fh:
+    with read_text(path, lambda why, line: RecordFormatError(
+            f"{path}:{line}: {why}")) as fh:
         lines = [line.split() for line in fh]
     lineno = 0
 

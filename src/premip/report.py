@@ -12,6 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
+from .mps import read_text
 from .presolvers import REGISTRY, Tier
 
 _TIER_OF = {d.name: d.tier for d in REGISTRY}
@@ -56,7 +57,8 @@ def parse_log(path: str) -> LogSummary:
         summary.round_conflicts.append(cur_conflicts)
         cur_found, cur_conflicts = set(), set()
 
-    with open(path) as fh:
+    with read_text(path, lambda why, line: ValueError(
+            f"{path}:{line}: {why}")) as fh:
         for line in fh:
             tokens = line.split()
             if not tokens:

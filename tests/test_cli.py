@@ -218,6 +218,19 @@ class TestParameterPrecedence:
             {}, None, read_param_file(str(params)))
         assert opts2.threads == 4       # env beats file
 
+    def test_bad_byte_in_parameter_file_names_its_line(self, tmp_path,
+                                                       capsys, knap):
+        from premip.options import read_param_file
+        params = tmp_path / "premip.cfg"
+        params.write_bytes(b"# threads\npresolve.threads = 2\xa0\n")
+        with pytest.raises(ValueError,
+                           match=f"{params}:2: not UTF-8 text at byte 0xa0"):
+            read_param_file(str(params))
+        code = main(["presolve", str(knap), "-r", str(tmp_path / "r.mps"),
+                     "--params", str(params)])
+        assert code != 0
+        assert f"{params}:2: not UTF-8" in capsys.readouterr().err
+
     def test_set_parameter_flag(self, knap, tmp_path, capsys):
         code = main(["presolve", str(knap), "-r", str(tmp_path / "r.mps"),
                      "-v", str(tmp_path / "r.post"),

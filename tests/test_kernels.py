@@ -281,22 +281,10 @@ def gate_cases(draw, rational):
 
 
 def _check_screen(ctx, case):
-    """On a row with no infinite share, an entry whose need lies below the
-    row's threshold gets no bound from the kernel that is tighter than its
-    own.  A row with an infinite share is not screened; there the kernel
-    itself gives nothing from a side whose infinity count is 2 or more, or
-    1 with the entry's own share finite."""
+    """On any row, infinite shares included, an entry whose need lies
+    below the row's threshold gets no bound from the kernel that is
+    tighter than its own."""
     state, a, lo, up, lhs, rhs, integral = case
-    if state[2] or state[3]:
-        own_min, own_max = (lo, up) if a > 0 else (up, lo)
-        for count, own, only in ((state[2], own_min, (None, rhs)),
-                                 (state[3], own_max, (lhs, None))):
-            if only == (None, None) or not (
-                    count > 1 or count and is_finite(own)):
-                continue
-            assert implied_bounds(ctx, state, a, lo, up, *only,
-                                  integral) == (NEG_INF, INF)
-        return
     rtol = screen_rtol(ctx)
     need = slack_need(a, lo, up, integral, ctx.feastol, rtol)
     if need < screen_threshold(state, lhs, rhs, rtol):
@@ -361,6 +349,39 @@ class TestSlackGate:
         assert implied_bounds(FLOAT, state, 10.0, 0.0, 1.0, None, rhs,
                               True)[1] == 1.0
         assert skipped(rhs, True)
+
+    def test_exact_need_of_a_huge_coefficient_on_an_infinite_range(self):
+        """An int above 1e308 next to an infinity raises OverflowError,
+        both in the product and in the range: the exact need of an
+        infinite range is INF without either.  Since every row is
+        screened, propagation reads such needs."""
+        big = 10 ** 400
+        assert slack_need(big, 0, INF, False, 0, 0) == INF
+        assert slack_need(-big, NEG_INF, 3, False, 0, 0) == INF
+        assert slack_need(3, big, INF, False, 0, 0) == INF
+        assert slack_need(3, NEG_INF, -big, False, 0, 0) == INF
+        assert slack_need(big, 0, 2, False, 0, 0) == 2 * big
+        p = Problem(RATIONAL)
+        x = p.add_col(0, 1, -1, integral=True)
+        y = p.add_col(0, INF, 1, integral=False)
+        z = p.add_col(NEG_INF, 5, 0, integral=False)
+        p.add_row({x: 3, y: big}, NEG_INF, 10 * big)
+        p.add_row({x: 1, y: 2, z: 3}, 1, 7)
+        presolve(p, PresolveOptions(numeric_mode="rational"))
+
+    def test_rational_presolve_of_a_huge_bound_next_to_an_infinity(self):
+        """A continuous column with lower bound 10**400 and no upper bound,
+        as `LO BND X 1e400` reads in rational mode, and its mirror image:
+        propagation screens their rows without an OverflowError."""
+        big = 10 ** 400
+        p = Problem(RATIONAL)
+        x = p.add_col(0, 1, -1, integral=True)
+        y = p.add_col(big, INF, 1, integral=False)
+        z = p.add_col(NEG_INF, -big, -1, integral=False)
+        p.add_row({x: 1, y: 1}, NEG_INF, 3 * big)
+        p.add_row({x: 2, z: 1}, -3 * big, INF)
+        result = presolve(p, PresolveOptions(numeric_mode="rational"))
+        assert result.verdict.value != "infeasible"
 
     def test_margin_covers_the_kernels_rounding(self):
         """A slack equal to the entry's range, about 1.46e-6 above a

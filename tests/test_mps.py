@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from premip import NumericContext, Problem, read_mps, read_sol, write_mps, \
     write_sol
@@ -493,3 +494,136 @@ class TestSolutionFiles:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line ")
+
+
+# --------------------------------------------------------------------------
+# malformed bytes: located errors, never another exception
+
+# every section, marker and bound type the reader takes, a ranged row and
+# exact p/q literals, which float64 mode rejects with a located error
+RICH_MPS = b"""NAME rich
+OBJSENSE
+    MIN
+ROWS
+ N  COST
+ L  C1
+ G  C2
+ E  C3
+COLUMNS
+    MARKER1 'MARKER' 'INTORG'
+    X1 COST -2 C1 7
+    X2 COST -1/3 C1 8
+    X2 C3 1
+    MARKER2 'MARKER' 'INTEND'
+    Y C2 2.5 C3 -1
+    Z COST 1 C2 1
+RHS
+    RHS C1 13 C2 1
+    RHS C3 1/2
+RANGES
+    RNG C1 4 C3 -2
+BOUNDS
+ UP BND X1 1
+ BV BND X2
+ MI BND Y
+ UP BND Y 3
+ LO BND Z -infinity
+ PL BND Z
+ENDATA
+"""
+SOLUTION = b"=obj= -1/3\nX1 1\nX2 0\n# a comment\nY 0.5\nZ 2e1\n"
+
+# bytes a mutation writes: any byte, or one that keeps the text MPS-like
+_BYTES = st.one_of(st.integers(0, 255),
+                   st.sampled_from(list(b" \n\r\t*-+./0123456789eE"
+                                        b"infINFNLGEXMUPBVOFR'")))
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """data with one to three bytes flipped, replaced, inserted or
+    deleted."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(out) - 1))
+        kind = draw(st.sampled_from(["flip", "set", "insert", "delete"]))
+        if kind == "flip":
+            out[pos] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "set":
+            out[pos] = draw(_BYTES)
+        elif kind == "insert":
+            out.insert(pos, draw(_BYTES))
+        elif len(out) > 1:
+            del out[pos]
+    return bytes(out)
+
+
+def _reads_or_locates(read, data: bytes, directory) -> None:
+    """read(path, ctx) in both modes returns, or raises MpsError with a
+    line number."""
+    path = str(directory / "mutated")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    for ctx in (CTX, NumericContext.rational()):
+        try:
+            read(path, ctx)
+        except MpsError as err:
+            assert err.line is not None, err
+
+
+class TestByteMutations:
+    """Byte-level mutations of a valid MPS or solution file either read or
+    raise MpsError with a line number, in both number modes."""
+
+    def test_sources_read(self, tmp_path):
+        for data, read in ((RICH_MPS, read_mps), (SOLUTION, read_sol)):
+            path = str(tmp_path / "valid")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            read(path, NumericContext.rational())
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(RICH_MPS))
+    def test_mps(self, tmp_path_factory, data):
+        _reads_or_locates(read_mps, data, tmp_path_factory.getbasetemp())
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(SOLUTION))
+    def test_solution(self, tmp_path_factory, data):
+        _reads_or_locates(read_sol, data, tmp_path_factory.getbasetemp())
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("text,line", [
+        (KNAP_MPS.encode().replace(b"X1 COST", b"X1 C\xe9ST"), 7),
+        # a lone CR ends a line, as in text mode
+        (KNAP_MPS.encode().replace(b"\n", b"\r").replace(
+            b"RHS C1", b"RHS \xff1"), 11),
+        (b"NAME t\r\nROWS\r\n N OBJ\xc3\r\n", 3)],
+        ids=["in-a-name", "after-lone-CRs", "after-CRLFs"])
+    def test_bad_byte_names_its_line(self, tmp_path, rational, text, line):
+        path = str(tmp_path / "bad.mps")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        ctx = NumericContext.rational() if rational else CTX
+        with pytest.raises(MpsError, match="not UTF-8") as err:
+            read_mps(path, ctx)
+        assert err.value.line == line
+
+    def test_bad_byte_in_a_solution_names_its_line(self, tmp_path):
+        path = str(tmp_path / "bad.sol")
+        with open(path, "wb") as fh:
+            fh.write(b"=obj= 1\nX1 1\nX2 \x80\n")
+        with pytest.raises(MpsError, match="not UTF-8") as err:
+            read_sol(path, CTX)
+        assert err.value.line == 3
+
+    def test_no_objective_row_is_located(self, tmp_path):
+        """At the ROWS header that lacks the N row, or at ENDATA when the
+        file has no ROWS section."""
+        text = "NAME t\nROWS\n L R1\nCOLUMNS\n X R1 1\nRHS\nENDATA\n"
+        with pytest.raises(MpsError, match="no objective") as err:
+            read_mps(write_tmp(tmp_path, text), CTX)
+        assert err.value.line == 2
+        with pytest.raises(MpsError, match="no objective") as err:
+            read_mps(write_tmp(tmp_path, "NAME t\nENDATA\n"), CTX)
+        assert err.value.line == 2

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from premip.numerics import (INF, NEG_INF, Mode, NumericContext, div,
-                             exact, rational_gcd, is_finite)
+from premip.numerics import (INF, NEG_INF, Mode, NumericContext,
+                             affine_range, div, exact, quotient_range,
+                             rational_gcd, is_finite)
 from premip.presolvers.common import coeff_gcd
 
 
@@ -348,3 +349,169 @@ class TestExactValues:
         assert rational_gcd(4, Fraction(6)) == 2
         assert type(rational_gcd(4, Fraction(6))) is int
         assert rational_gcd(Fraction(1, 2), 3) == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the range helpers against the hand-written branches they replaced
+
+
+def _old_minus_range(b_lo, b_up, a, lo, up):
+    """[b_lo, b_up] - a*[lo, up]: substitute_column, DoubletonEq's
+    numerator and delete_free_singleton."""
+    if a > 0:
+        return (b_lo - a * up if (is_finite(b_lo) and is_finite(up))
+                else NEG_INF,
+                b_up - a * lo if (is_finite(b_up) and is_finite(lo))
+                else INF)
+    return (b_lo - a * lo if (is_finite(b_lo) and is_finite(lo)) else NEG_INF,
+            b_up - a * up if (is_finite(b_up) and is_finite(up)) else INF)
+
+
+def _old_plus_range(lo_k, up_k, s, lo, up):
+    """[lo_k, up_k] + s*[lo, up]: ParallelCols and
+    aggregate_parallel_cols."""
+    if s > 0:
+        return (lo_k + s * lo if (is_finite(lo_k) and is_finite(lo))
+                else NEG_INF,
+                up_k + s * up if (is_finite(up_k) and is_finite(up)) else INF)
+    return (lo_k + s * up if (is_finite(lo_k) and is_finite(up)) else NEG_INF,
+            up_k + s * lo if (is_finite(up_k) and is_finite(lo)) else INF)
+
+
+def _old_aggregate_caps(y, s, lo, up):
+    """Postsolve's Aggregate inversion: y - s*[lo, up]."""
+    if s > 0:
+        return (y - s * up if is_finite(up) else NEG_INF,
+                y - s * lo if is_finite(lo) else INF)
+    return (y - s * lo if is_finite(lo) else NEG_INF,
+            y - s * up if is_finite(up) else INF)
+
+
+def _old_shares(asn, lo, up):
+    """Stuffing's minimum and desired shares asn*[lo, up]."""
+    if asn > 0:
+        return (asn * lo if is_finite(lo) else NEG_INF,
+                asn * up if is_finite(up) else INF)
+    return (asn * up if is_finite(up) else NEG_INF,
+            asn * lo if is_finite(lo) else INF)
+
+
+def _old_quotient(lo, up, s):
+    """[lo, up] / s: trivial presolve's singleton row and ParallelRows."""
+    if s > 0:
+        return (div(lo, s) if is_finite(lo) else NEG_INF,
+                div(up, s) if is_finite(up) else INF)
+    return (div(up, s) if is_finite(up) else NEG_INF,
+            div(lo, s) if is_finite(lo) else INF)
+
+
+def _old_shifted_quotient(lo, up, alpha, beta):
+    """([lo, up] - alpha) / beta: substitute_pair and postsolve's
+    FreeSingleton inversion."""
+    if beta > 0:
+        return (div(lo - alpha, beta) if is_finite(lo) else NEG_INF,
+                div(up - alpha, beta) if is_finite(up) else INF)
+    return (div(up - alpha, beta) if is_finite(up) else NEG_INF,
+            div(lo - alpha, beta) if is_finite(lo) else INF)
+
+
+def _bits(pair):
+    """A pair of numbers by type and repr: -0.0 differs from 0.0, an int
+    from an equal Fraction."""
+    return [(type(v).__name__, repr(v)) for v in pair]
+
+
+def _checks(c_lo, c_up, s, lo, up, k, nil):
+    """(new, old) pairs of every replaced site's form; k is a finite
+    constant, as y and alpha are."""
+    return [
+        (affine_range(c_lo, c_up, -s, lo, up),
+         _old_minus_range(c_lo, c_up, s, lo, up)),
+        (affine_range(c_lo, c_up, s, lo, up),
+         _old_plus_range(c_lo, c_up, s, lo, up)),
+        (affine_range(k, k, -s, lo, up), _old_aggregate_caps(k, s, lo, up)),
+        (affine_range(nil, nil, s, lo, up), _old_shares(s, lo, up)),
+        (quotient_range(lo, up, s), _old_quotient(lo, up, s)),
+        (quotient_range(*affine_range(lo, up, 1, -k, -k), s),
+         _old_shifted_quotient(lo, up, k, s)),
+    ]
+
+
+def _float_cases():
+    finite = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+    nonzero = finite.filter(lambda v: v != 0)
+    return st.tuples(st.one_of(finite, st.just(NEG_INF)),
+                     st.one_of(finite, st.just(INF)), nonzero,
+                     st.one_of(finite, st.just(NEG_INF)),
+                     st.one_of(finite, st.just(INF)), finite)
+
+
+def _rational_cases():
+    huge = st.integers(10 ** 308, 10 ** 400).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+    finite = st.one_of(st.integers(-50, 50), huge,
+                       st.fractions(-50, 50, max_denominator=12))
+    nonzero = finite.filter(lambda v: v != 0)
+    return st.tuples(st.one_of(finite, st.just(NEG_INF)),
+                     st.one_of(finite, st.just(INF)), nonzero,
+                     st.one_of(finite, st.just(NEG_INF)),
+                     st.one_of(finite, st.just(INF)), finite)
+
+
+class TestRangeHelpers:
+    """affine_range and quotient_range give what the twelve hand-written
+    branches gave: bit for bit in float64, exactly in rational mode."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_float_cases())
+    def test_float64_bit_for_bit(self, case):
+        for new, old in _checks(*case, nil=-0.0):
+            assert _bits(new) == _bits(old), case
+
+    @settings(max_examples=600, deadline=None)
+    @given(_rational_cases())
+    def test_rational_exact(self, case):
+        for new, old in _checks(*case, nil=0):
+            assert _bits(new) == _bits(old), case
+
+    def test_both_signs(self):
+        assert affine_range(1, 2, 3, 0, 1) == (1, 5)
+        assert affine_range(1, 2, -3, 0, 1) == (-2, 2)
+        assert quotient_range(2, 6, 2) == (1, 3)
+        assert quotient_range(2, 6, -2) == (-3, -1)
+        assert quotient_range(1, 2, 3) == (Fraction(1, 3), Fraction(2, 3))
+
+    def test_infinite_ends(self):
+        assert affine_range(0.0, 0.0, 2.0, NEG_INF, 1.0) == (NEG_INF, 2.0)
+        assert affine_range(0.0, 0.0, -2.0, NEG_INF, 1.0) == (-2.0, INF)
+        assert affine_range(NEG_INF, 1.0, 2.0, 0.0, 1.0) == (NEG_INF, 3.0)
+        assert affine_range(0.0, INF, -1.0, 0.0, 1.0) == (-1.0, INF)
+        assert quotient_range(NEG_INF, 4.0, 2.0) == (NEG_INF, 2.0)
+        assert quotient_range(NEG_INF, 4.0, -2.0) == (-2.0, INF)
+        assert quotient_range(NEG_INF, INF, -1.0) == (NEG_INF, INF)
+
+    def test_zero_bounds_keep_their_sign(self):
+        # -0.0 + x is x bit for bit: Stuffing's shares of a zero bound
+        assert _bits(affine_range(-0.0, -0.0, -3.0, 0.0, 1.0)) == \
+            _bits((-3.0, -0.0))
+        assert _bits(affine_range(-0.0, -0.0, 3.0, -0.0, 0.0)) == \
+            _bits((-0.0, 0.0))
+        assert _bits(affine_range(0.0, 0.0, 3.0, -0.0, 1.0)) == \
+            _bits((0.0, 3.0))
+
+    def test_huge_ints_next_to_infinite_bounds(self):
+        """An int above 1e308 never meets an infinity in arithmetic, which
+        raises OverflowError."""
+        big = 10 ** 400
+        assert affine_range(big, big, 3, NEG_INF, 5) == (NEG_INF, big + 15)
+        assert affine_range(big, big, -3, NEG_INF, 5) == (big - 15, INF)
+        assert affine_range(NEG_INF, big, big, 1, INF) == (NEG_INF, INF)
+        assert affine_range(-big, INF, -big, 1, INF) == (NEG_INF, INF)
+        assert quotient_range(NEG_INF, big, big) == (NEG_INF, 1)
+        assert quotient_range(NEG_INF, big, -big) == (-1, INF)
+        assert quotient_range(-big, INF, 3) == (Fraction(-big, 3), INF)
+        # the shift of substitute_pair and FreeSingleton, then the quotient
+        assert quotient_range(*affine_range(NEG_INF, big, 1, -big, -big),
+                              big) == (NEG_INF, 0)
+        assert quotient_range(*affine_range(big, INF, 1, -1, -1),
+                              -big) == (NEG_INF, Fraction(1 - big, big))

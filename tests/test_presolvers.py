@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 import premip.presolvers.fast as fast
-from premip import NumericContext, apply_all
+from premip import NumericContext, PresolveOptions, apply_all, presolve
 from premip.model import (ColState, InfeasibleError, ModelUpdate,
                           UnboundedError)
 from premip.numerics import INF, NEG_INF, is_finite
@@ -20,7 +20,7 @@ from premip.transactions import (ReductionStep, StepKind, Transaction,
 from conftest import (brute_force, brute_force_mixed, late_structure_mip,
                       make_problem, presolver_soundness_check, quotient,
                       random_medium_mip, random_mixed_mip, random_small_mip,
-                      run_one_presolver)
+                      run_one_presolver, to_rational)
 
 CTX = NumericContext.float64()
 RATIONAL = NumericContext.rational()
@@ -887,6 +887,37 @@ class TestProbing:
         view = PresolveView(upd.problem, upd.activities, upd.locks,
                             changed_rows=set(), changed_cols=set())
         assert runner("probing")(view) == []
+
+
+def _halfopen_medium(seed):
+    """The 300x250 medium instance with a quarter of its bounds opened
+    against the cost only, as the digest corpus's `medium-halfopen` runs
+    build it: a relaxation of a feasible instance, with a finite
+    optimum."""
+    p = random_medium_mip(random.Random(seed), 300, 250)
+    rng = random.Random(seed)
+    for j in range(p.ncols):
+        if rng.random() < 0.25 and p.obj[j] <= 0:
+            p.col_lower[j] = NEG_INF
+        if rng.random() < 0.25 and p.obj[j] >= 0:
+            p.col_upper[j] = INF
+    return p
+
+
+class TestProbingInfiniteBranchBounds:
+    def test_rational_copy_is_reduced(self):
+        result = presolve(to_rational(_halfopen_medium(0)),
+                          PresolveOptions(numeric_mode="rational"))
+        assert result.verdict.value == "reduced"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "float64 approx_eq takes -inf as equal to every number, so "
+        "_probe_merge couples a column with infinite branch bounds "
+        "(x_j = -inf + nan*x_k) and a later fix leaves the bounds; "
+        "ROADMAP: approx_eq on infinities in probing"))
+    def test_float64_is_not_infeasible(self):
+        result = presolve(_halfopen_medium(0), PresolveOptions())
+        assert result.verdict.value != "infeasible"
 
 
 class TestSubstitution:

@@ -158,6 +158,19 @@ class TestTruncatedRecord:
                 checked += 1
         assert checked > len(lines)
 
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_text_bad_byte_names_line_number(self, tmp_path, rational):
+        full = str(tmp_path / "full.post")
+        write_record(_record(rational), full, text=True)
+        lines = open(full, "rb").read().splitlines(keepends=True)
+        assert lines[3].startswith(b"offset ")
+        lines[3] = b"offset \xe91\n"
+        bad = str(tmp_path / "bad.post")
+        open(bad, "wb").write(b"".join(lines))
+        with pytest.raises(RecordFormatError,
+                           match=":4: not UTF-8 text at byte 0xe9"):
+            read_record(bad)
+
     def test_unknown_tag_and_trailing_fields_located(self, tmp_path):
         full = str(tmp_path / "full.post")
         write_record(record_with_everything(), full, text=True)

@@ -63,6 +63,13 @@ class TestReportOnCraftedConflicts:
         assert ledger[pair].conflicts == 1
         assert ledger[pair].total_transactions >= 2
 
+    def test_bad_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "run.log"
+        path.write_bytes(b"round 1 tier fast\ntxn p index 0 \xff\n")
+        with pytest.raises(ValueError,
+                           match=f"{path}:2: not UTF-8 text at byte 0xff"):
+            parse_log(str(path))
+
     def test_invariants(self, tmp_path):
         path = str(tmp_path / "run.log")
         run_with_log(two_singleton_instance(), path)
