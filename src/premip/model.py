@@ -228,87 +228,114 @@ class Problem:
 
 # ---------------------------------------------------------------------------
 # row activities
+#
+# A row state is the list [min_sum, max_sum, n_min_inf, n_max_inf]: the
+# finite parts of the row's minimum and maximum activity and the number of
+# entries whose share of each is infinite.  An entry a*x with x in [lo, up]
+# gives the minimum a*lo and the maximum a*up when a > 0, and a*up and a*lo
+# when a < 0.  The two rules below are the only code that writes shares
+# into a state; a bound is finite when NEG_INF < v < INF, the one test
+# that needs no call and is exact for an int above 1e308.
 
 
-def _min_contribution(a: Number, lo: Number, up: Number) -> Tuple[Number, bool]:
-    """(finite part, is_infinite) of an entry's minimum-activity share."""
-    if a > 0:
-        return (a * lo, False) if is_finite(lo) else (0, True)
-    return (a * up, False) if is_finite(up) else (0, True)
+def add_shares(st: list, a: Number, lo: Number, up: Number,
+               sign: int = 1) -> None:
+    """Add the shares of one entry a*x, x in [lo, up], to the row state
+    st, or remove them with sign -1."""
+    low, high = (lo, up) if a > 0 else (up, lo)
+    if NEG_INF < low < INF:
+        st[0] += sign * a * low
+    else:
+        st[2] += sign
+    if NEG_INF < high < INF:
+        st[1] += sign * a * high
+    else:
+        st[3] += sign
 
 
-def _max_contribution(a: Number, lo: Number, up: Number) -> Tuple[Number, bool]:
-    if a > 0:
-        return (a * up, False) if is_finite(up) else (0, True)
-    return (a * lo, False) if is_finite(lo) else (0, True)
+def move_shares(states, entries, lo: Number, up: Number, new_lo: Number,
+                new_up: Number, exact: bool) -> None:
+    """Move the shares of one column's entries, (row, coefficient) pairs,
+    in their rows' states from the bounds [lo, up] to [new_lo, new_up].
+
+    The finiteness of the four bounds is decided once.  Float64 subtracts
+    each finite old share and adds each finite new one, slot by slot and
+    row by row, so a sum's last bits are those of removing the entry and
+    adding it back.  In exact mode, with all four bounds finite, the share
+    of each bound that changed moves by a times the change instead, which
+    is the same value: int and Fraction arithmetic is exact, and the
+    result is a Fraction exactly when one of the same operands is.
+    `states` is indexed by row: `RowActivities.state`, or probing's
+    overlay of scratch copies."""
+    lo_fin, up_fin = NEG_INF < lo < INF, NEG_INF < up < INF
+    new_lo_fin, new_up_fin = NEG_INF < new_lo < INF, NEG_INF < new_up < INF
+    if lo_fin and up_fin and new_lo_fin and new_up_fin:
+        if exact:
+            step_lo = new_lo - lo if new_lo != lo else None
+            step_up = new_up - up if new_up != up else None
+            for i, a in entries:
+                st = states[i]
+                # the lower bound gives a positive entry's minimum share
+                lo_slot = 0 if a > 0 else 1
+                if step_lo is not None:
+                    st[lo_slot] += a * step_lo
+                if step_up is not None:
+                    st[1 - lo_slot] += a * step_up
+            return
+        # the common case: the loop below without its tests
+        for i, a in entries:
+            st = states[i]
+            if a > 0:
+                st[0] = st[0] - a * lo + a * new_lo
+                st[1] = st[1] - a * up + a * new_up
+            else:
+                st[0] = st[0] - a * up + a * new_up
+                st[1] = st[1] - a * lo + a * new_lo
+        return
+    # change of the number of infinite lower/upper bounds
+    d_lo = (not new_lo_fin) - (not lo_fin)
+    d_up = (not new_up_fin) - (not up_fin)
+    for i, a in entries:
+        st = states[i]
+        lo_slot = 0 if a > 0 else 1
+        up_slot = 1 - lo_slot
+        if lo_fin:
+            st[lo_slot] -= a * lo
+        if new_lo_fin:
+            st[lo_slot] += a * new_lo
+        if up_fin:
+            st[up_slot] -= a * up
+        if new_up_fin:
+            st[up_slot] += a * new_up
+        st[lo_slot + 2] += d_lo
+        st[up_slot + 2] += d_up
 
 
 class RowActivities:
-    """Per-row minimum/maximum activity with infinite-contribution counters."""
+    """One state per row (see `add_shares`): the minimum and maximum
+    activity with their infinite-share counts."""
 
     def __init__(self, nrows: int, ctx: NumericContext):
         zero = ctx.number(0)
-        self.min_sum: List[Number] = [zero] * nrows
-        self.max_sum: List[Number] = [zero] * nrows
-        self.n_min_inf: List[int] = [0] * nrows
-        self.n_max_inf: List[int] = [0] * nrows
+        self.state: List[list] = [[zero, zero, 0, 0] for _ in range(nrows)]
 
     @staticmethod
     def compute(problem: Problem) -> "RowActivities":
         act = RowActivities(problem.nrows, problem.ctx)
+        lower, upper = problem.col_lower, problem.col_upper
         for i in problem.active_rows():
+            st = act.state[i]
             for j, a in problem.rows[i].items():
-                act.add_entry(i, a, problem.col_lower[j], problem.col_upper[j])
+                add_shares(st, a, lower[j], upper[j])
         return act
 
-    def add_entry(self, i: int, a: Number, lo: Number, up: Number) -> None:
-        # the sign is decided once: a positive entry's minimum share is a*lo
-        low, high = (lo, up) if a > 0 else (up, lo)
-        if is_finite(low):
-            self.min_sum[i] = self.min_sum[i] + a * low
-        else:
-            self.n_min_inf[i] += 1
-        if is_finite(high):
-            self.max_sum[i] = self.max_sum[i] + a * high
-        else:
-            self.n_max_inf[i] += 1
-
-    def remove_entry(self, i: int, a: Number, lo: Number, up: Number) -> None:
-        """add_entry's inverse."""
-        low, high = (lo, up) if a > 0 else (up, lo)
-        if is_finite(low):
-            self.min_sum[i] = self.min_sum[i] - a * low
-        else:
-            self.n_min_inf[i] -= 1
-        if is_finite(high):
-            self.max_sum[i] = self.max_sum[i] - a * high
-        else:
-            self.n_max_inf[i] -= 1
-
     def min_effective(self, i: int) -> Number:
-        return NEG_INF if self.n_min_inf[i] > 0 else self.min_sum[i]
+        st = self.state[i]
+        return NEG_INF if st[2] > 0 else st[0]
 
     def max_effective(self, i: int) -> Number:
-        return INF if self.n_max_inf[i] > 0 else self.max_sum[i]
-
-    def min_residual(self, i: int, a: Number, lo: Number, up: Number) -> Number:
-        """Minimum activity of row i excluding one entry with coeff a."""
-        val, inf = _min_contribution(a, lo, up)
-        remaining = self.n_min_inf[i] - (1 if inf else 0)
-        if remaining > 0:
-            return NEG_INF
-        return self.min_sum[i] - val
-
-    def max_residual(self, i: int, a: Number, lo: Number, up: Number) -> Number:
-        val, inf = _max_contribution(a, lo, up)
-        remaining = self.n_max_inf[i] - (1 if inf else 0)
-        if remaining > 0:
-            return INF
-        return self.max_sum[i] - val
-
-    def snapshot(self, i: int) -> Tuple[Number, Number, int, int]:
-        return (self.min_sum[i], self.max_sum[i],
-                self.n_min_inf[i], self.n_max_inf[i])
+        st = self.state[i]
+        return INF if st[3] > 0 else st[1]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +545,8 @@ class ModelUpdate:
         a = p.rows[i].pop(j)
         del p.cols[j][i]
         p.nnz -= 1
-        self.activities.remove_entry(i, a, p.col_lower[j], p.col_upper[j])
+        add_shares(self.activities.state[i], a, p.col_lower[j],
+                   p.col_upper[j], -1)
         self.locks.remove_entry(j, a, is_finite(p.row_lhs[i]),
                                 is_finite(p.row_rhs[i]))
 
@@ -526,14 +554,15 @@ class ModelUpdate:
         p = self.problem
         old = p.rows[i].get(j)
         lfin, rfin = is_finite(p.row_lhs[i]), is_finite(p.row_rhs[i])
+        st, lo, up = self.activities.state[i], p.col_lower[j], p.col_upper[j]
         if old is not None:
-            self.activities.remove_entry(i, old, p.col_lower[j], p.col_upper[j])
+            add_shares(st, old, lo, up, -1)
             self.locks.remove_entry(j, old, lfin, rfin)
         else:
             p.nnz += 1
         p.rows[i][j] = v
         p.cols[j][i] = v
-        self.activities.add_entry(i, v, p.col_lower[j], p.col_upper[j])
+        add_shares(st, v, lo, up)
         self.locks.add_entry(j, v, lfin, rfin)
 
     def _set_side_raw(self, i: int, side: str, v: Number,
@@ -591,41 +620,17 @@ class ModelUpdate:
 
     def _set_col_bound_raw(self, j: int, side: str, v: Number,
                            setter: Setter) -> bool:
-        """Unchecked, unrecorded bound replacement (may relax); updates
-        activities.
-
-        In rational mode a change between two finite values adds
-        a*(v - old) to the one sum of each row that the bound feeds: exactly
-        what removing the entry and adding it back gives.  In float64 the
-        two differ in the last bits, and presolvers read the cached sums, so
-        float64 (and any change to or from an infinite bound, which also
-        moves the infinity counts) removes the entry with its old bounds
-        and adds it with the new ones."""
+        """Unchecked, unrecorded bound replacement (may relax); moves the
+        column's shares in its rows' activities (see `move_shares`)."""
         p = self.problem
-        lower = side == "lower"
-        old = p.col_lower[j] if lower else p.col_upper[j]
-        if old == v:
+        lo, up = p.col_lower[j], p.col_upper[j]
+        new_lo, new_up = (v, up) if side == "lower" else (lo, v)
+        if new_lo == lo and new_up == up:
             return False
-        act = self.activities
-        shift = self.exact and is_finite(old) and is_finite(v)
-        if shift:
-            delta = v - old
-            for i, a in p.cols[j].items():
-                # a lower bound gives a positive entry's minimum share
-                if (a > 0) == lower:
-                    act.min_sum[i] = act.min_sum[i] + a * delta
-                else:
-                    act.max_sum[i] = act.max_sum[i] + a * delta
-        else:
-            for i, a in p.cols[j].items():
-                act.remove_entry(i, a, p.col_lower[j], p.col_upper[j])
-        if lower:
-            p.col_lower[j] = v
-        else:
-            p.col_upper[j] = v
-        for i, a in p.cols[j].items():
-            if not shift:
-                act.add_entry(i, a, p.col_lower[j], p.col_upper[j])
+        move_shares(self.activities.state, p.cols[j].items(), lo, up,
+                    new_lo, new_up, self.exact)
+        p.col_lower[j], p.col_upper[j] = new_lo, new_up
+        for i in p.cols[j]:
             self._touch_row(i)
         self.flags._mark(self.flags.col_bounds, j, setter)
         self._touch_col(j)

@@ -15,7 +15,7 @@ import gc
 import multiprocessing
 import os
 import sys
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -34,28 +34,39 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# the function of the running fork_map; its forked workers inherit it
+_FN: Optional[Callable] = None
+
+
+def _call(item):
+    return _FN(item)
+
+
 def fork_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
     """Apply fn to every item, preserving order.
 
     Runs sequentially unless more than one worker is requested, more than
     one item exists, and fork is available.  Otherwise a pool of
     min(workers, len(items), usable_cpus()) processes runs the items.
-    fn must be a module-level function; shared state must be reachable
-    through module globals set before the call (inherited by the forked
-    children).
+    fn may be any callable, a closure included: it is stored before the
+    pool forks, so the workers inherit it and only the items and the
+    results are pickled.
     """
+    global _FN
     if workers <= 1 or len(items) <= 1 or not fork_available():
         return [fn(it) for it in items]
     ctx = multiprocessing.get_context("fork")
+    _FN = fn
     # a full collection in a child would write to the header of every
     # inherited object and so copy the parent's heap page by page; frozen
     # objects are never collected
     gc.freeze()
     try:
         with ctx.Pool(min(workers, len(items), usable_cpus())) as pool:
-            return pool.map(fn, items, chunksize=1)
+            return pool.map(_call, items, chunksize=1)
     finally:
         gc.unfreeze()
+        _FN = None
 
 
 def chunk_evenly(items: Sequence[T], parts: int) -> List[List[T]]:

@@ -132,19 +132,40 @@ def finite_side(v: Number) -> Optional[Number]:
     return v if is_finite(v) else None
 
 
+def min_residual(state: Sequence, a: Number, lo: Number,
+                 up: Number) -> Number:
+    """The minimum activity of a row state without one of its entries,
+    a*x with x in [lo, up]: NEG_INF when another entry's share is
+    infinite."""
+    low = lo if a > 0 else up
+    if NEG_INF < low < INF:
+        return state[0] - a * low if state[2] <= 0 else NEG_INF
+    return state[0] if state[2] <= 1 else NEG_INF
+
+
+def max_residual(state: Sequence, a: Number, lo: Number,
+                 up: Number) -> Number:
+    """The maximum activity of a row state without one of its entries:
+    INF when another entry's share is infinite."""
+    high = up if a > 0 else lo
+    if NEG_INF < high < INF:
+        return state[1] - a * high if state[3] <= 0 else INF
+    return state[1] if state[3] <= 1 else INF
+
+
 def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
                    lo: Number, up: Number, lhs: Optional[Number],
                    rhs: Optional[Number],
                    integral: bool) -> Tuple[Number, Number]:
     """(lower, upper) bound on one column implied by one row.
 
-    `state` is the row's (min_sum, max_sum, n_min_inf, n_max_inf): from
-    `RowActivities.snapshot`, probing's scratch overlay or DualInfer's dual
+    `state` is the row's [min_sum, max_sum, n_min_inf, n_max_inf]: from
+    `RowActivities.state`, probing's scratch overlay or DualInfer's dual
     rows.  (lo, up) are the bounds of the entry's column that the state was
     built with, and `a` is its coefficient.  An infinite side is passed as
     None (see `finite_side`): callers decide that once per row, and the
     kernel never compares a side with an infinity.
-    The residuals are those of `RowActivities.min_residual`/`max_residual`.
+    The residuals are those of `min_residual` and `max_residual`.
     Integral columns get their bounds rounded inward; a side that implies
     nothing gives NEG_INF/INF.
 
@@ -159,36 +180,21 @@ def implied_bounds(ctx: NumericContext, state: Sequence, a: Number,
       `numerics.affine_range` and `quotient_range`, which read sides and
       bounds: the cached sums drift in the last bits once entries go;
     - FixContinuous' `_worst_case_cap` and `_fix_value_feasible` compute
-      other quantities;
-    - probing's overlay update, which moves a column's shares in its rows'
-      activity sums when its bounds change, is written out in
-      `exhaustive._probe_propagate` so that it decides the finiteness of
-      the old and new bounds once per bound change instead of once per row.
+      other quantities from the same residuals.
     """
-    min_sum, max_sum, n_min_inf, n_max_inf = state
     positive = a > 0  # compared once
     lower, upper = NEG_INF, INF
     if rhs is not None:
-        # minimum activity without this entry, whose share is a*lo or a*up;
-        # None when another entry's share is infinite
-        low = lo if positive else up
-        if is_finite(low):
-            res = min_sum - a * low if n_min_inf <= 0 else None
-        else:
-            res = min_sum if n_min_inf <= 1 else None
-        if res is not None and is_finite(res):
+        res = min_residual(state, a, lo, up)
+        if is_finite(res):
             cap = div(rhs - res, a)
             if positive:
                 upper = ctx.round_down_bound(cap) if integral else cap
             else:
                 lower = ctx.round_up_bound(cap) if integral else cap
     if lhs is not None:
-        high = up if positive else lo
-        if is_finite(high):
-            res = max_sum - a * high if n_max_inf <= 0 else None
-        else:
-            res = max_sum if n_max_inf <= 1 else None
-        if res is not None and is_finite(res):
+        res = max_residual(state, a, lo, up)
+        if is_finite(res):
             cap = div(lhs - res, a)
             if positive:
                 lower = ctx.round_up_bound(cap) if integral else cap

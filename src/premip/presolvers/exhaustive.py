@@ -5,7 +5,9 @@ as the medium presolvers do; DomCol, DualInfer and Sparsify scan everything
 on every call.
 
 Each worker turns its chunk into transactions, so only transactions come
-back to the parent.
+back to the parent.  The chunk functions are closures over the view and,
+for probing, over the call's row cache and workspace; `fork_map` hands
+them to workers that inherit them, so no module global carries them.
 
 Probing's first call probes every active binary, in one fan-out.  A later
 call orders its candidates with the binaries changed since the previous
@@ -18,13 +20,11 @@ Programming" (2007).  The batches do not depend on the worker count, so
 neither does the output.
 
 Probing copies the column bounds once per call into a workspace of two
-arrays, with a third that tells which columns have a finite box; forked
-workers inherit it.  A branch writes its bounds there, lists the columns
-it changed and puts their bounds back when it ends, infeasible exits
-included; the row activities it moves live in scratch copies of the rows
-it touches.  Moving a boxed column's shares needs no finiteness test.
-The sorted entries and resolved sides of the rows it reads are kept for
-the call.
+arrays; forked workers inherit it.  A branch writes its bounds there,
+lists the columns it changed and puts their bounds back when it ends,
+infeasible exits included; the row activities it moves live in scratch
+copies of the rows it touches.  The sorted entries and resolved sides of
+the rows it reads are kept for the call.
 
 The row screen of `common.screen_threshold`, the one early exit in front
 of the kernel, runs in both modes with `common.screen_rtol`'s margin.
@@ -38,9 +38,8 @@ recomputed after each bound change in the row.  Every other unfixed
 entry goes to the kernel.
 
 A branch's bound change moves the column's shares in its rows' scratch
-activities.  Float64 subtracts the old share and adds the new one, as
-`ModelUpdate` does for the problem's sums; rational mode, when all four
-bounds are finite, adds a times the change of each bound that moved.
+activities with `model.move_shares`, the rule `ModelUpdate` uses for the
+problem's sums.
 
 The merge of a candidate's two branches loops only over the columns both
 branches moved: a column moved in one branch keeps its global bounds in
@@ -49,9 +48,9 @@ bound.  It gives a coupling only when those global bounds are approx_eq
 without being equal, so such columns are kept too."""
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..model import InfeasibleError
+from ..model import InfeasibleError, add_shares, move_shares
 from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
                         bound_improves_upper, div, is_finite)
 from ..parallel import chunk_evenly, fork_map
@@ -70,16 +69,6 @@ PROBING_PARALLEL_MIN_NNZ = 2000
 DOMCOL_PARALLEL_MIN_GROUPS = 512
 SPARSIFY_PARALLEL_MIN_EQS = 512
 
-# the view of the presolver whose chunks run, cleared when the fan-out
-# ends; for probing, the rows its chunks have read so far (see _cache_row)
-# and its workspace (see _workspace), both cleared when run_probing ends.
-# Forked workers inherit all three.
-_VIEW: Optional[PresolveView] = None
-_SORTED_ROWS: Dict[int, Tuple[List[Tuple[int, Number, Number]],
-                              Optional[Number], Optional[Number],
-                              Number]] = {}
-_BOUNDS: Optional[Tuple[List[Number], List[Number], List[bool]]] = None
-
 
 def _fan_out(view: PresolveView, chunk_fn, items: list,
              big_enough: bool) -> list:
@@ -87,18 +76,12 @@ def _fan_out(view: PresolveView, chunk_fn, items: list,
     splits items into 4 * view.workers contiguous chunks and hands them to
     fork_map, which runs them on at most view.workers processes and never
     more than the usable CPUs; else runs in-process.  The chunks follow
-    view.workers alone, so the output does not depend on the host.
-    chunk_fn reads the view from _VIEW."""
-    global _VIEW
-    _VIEW = view
-    try:
-        if view.workers > 1 and big_enough:
-            chunks = chunk_evenly(items, 4 * view.workers)
-            parts = fork_map(chunk_fn, chunks, view.workers)
-            return [r for part in parts for r in part]
-        return chunk_fn(items)
-    finally:
-        _VIEW = None
+    view.workers alone, so the output does not depend on the host."""
+    if view.workers > 1 and big_enough:
+        chunks = chunk_evenly(items, 4 * view.workers)
+        parts = fork_map(chunk_fn, chunks, view.workers)
+        return [r for part in parts for r in part]
+    return chunk_fn(items)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +132,7 @@ def _domcol_sense_ok(p, ctx, i, aj, ak) -> bool:
     return True
 
 
-def _domcol_group(args) -> List[Transaction]:
-    support, cols = args
-    view = _VIEW
+def _domcol_group(view: PresolveView, support, cols) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     txs: List[Transaction] = []
@@ -208,12 +189,13 @@ def run_domcol(view: PresolveView) -> List[Transaction]:
               if len(cols) >= 2]
     if not groups:
         return []
-    return _fan_out(view, _domcol_chunk, groups,
+
+    def domcol_chunk(chunk) -> List[Transaction]:
+        return [tx for support, cols in chunk
+                for tx in _domcol_group(view, support, cols)]
+
+    return _fan_out(view, domcol_chunk, groups,
                     len(groups) >= DOMCOL_PARALLEL_MIN_GROUPS)
-
-
-def _domcol_chunk(groups) -> List[Transaction]:
-    return [tx for g in groups for tx in _domcol_group(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +227,7 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
         il, iu = NEG_INF, INF
         cl, cu = p.col_lower[j], p.col_upper[j]
         for i, a in entries:
-            lo_r, up_r = implied_bounds(ctx, act.snapshot(i), a, cl, cu,
+            lo_r, up_r = implied_bounds(ctx, act.state[i], a, cl, cu,
                                         finite_side(p.row_lhs[i]),
                                         finite_side(p.row_rhs[i]), False)
             il = max(il, lo_r)
@@ -267,28 +249,10 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
         return []
 
     def dual_min_max(entries):
-        mn, mx = ctx.number(0), ctx.number(0)
-        n_mn = n_mx = 0
+        st = [ctx.number(0), ctx.number(0), 0, 0]
         for i, a in entries:
-            lo, up = ylb[i], yub[i]
-            if a > 0:
-                if is_finite(lo):
-                    mn = mn + a * lo
-                else:
-                    n_mn += 1
-                if is_finite(up):
-                    mx = mx + a * up
-                else:
-                    n_mx += 1
-            else:
-                if is_finite(up):
-                    mn = mn + a * up
-                else:
-                    n_mn += 1
-                if is_finite(lo):
-                    mx = mx + a * lo
-                else:
-                    n_mx += 1
+            add_shares(st, a, ylb[i], yub[i])
+        mn, mx, n_mn, n_mx = st
         return (NEG_INF if n_mn else mn), (INF if n_mx else mx), n_mn, n_mx
 
     for _ in range(2):
@@ -351,11 +315,21 @@ def run_dualinfer(view: PresolveView) -> List[Transaction]:
 
 
 def _workspace(p) -> tuple:
-    """Probing's workspace: copies of the column bounds, and whether each
-    column's box is finite."""
-    lower, upper = list(p.col_lower), list(p.col_upper)
-    return lower, upper, [is_finite(lo) and is_finite(up)
-                          for lo, up in zip(lower, upper)]
+    """Probing's workspace: copies of the column bounds."""
+    return list(p.col_lower), list(p.col_upper)
+
+
+class _Overlay(dict):
+    """A branch's scratch row states: a row's state is copied from the
+    problem's the first time the branch reads it."""
+
+    def __init__(self, states: list):
+        super().__init__()
+        self.states = states
+
+    def __missing__(self, i: int) -> list:
+        st = self[i] = list(self.states[i])
+        return st
 
 
 def _cache_row(rows: Dict[int, tuple], p, i: int, rtol: Number) -> tuple:
@@ -381,84 +355,25 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
     {col: (lo, up)} for the columns whose bounds moved, or None if
     infeasible.
 
-    ws is the workspace (lower, upper, boxed) of `_workspace`: copies of
-    the column bounds and whether each global box is finite (a fresh one
-    if None).  The branch writes its bounds there and lists the columns it
-    changed; on the way out, infeasible exits included, those columns get
-    their bounds back, so ws equals the problem's bounds again.
-    rows caches, per row read, what `_cache_row` gives."""
+    ws is the workspace (lower, upper) of `_workspace`: copies of the
+    column bounds (a fresh one if None).  The branch writes its bounds
+    there and lists the columns it changed; on the way out, infeasible
+    exits included, those columns get their bounds back, so ws equals the
+    problem's bounds again.  rows caches, per row read, what `_cache_row`
+    gives."""
     p = view.problem
     ctx = view.ctx
-    act = view.activities
     col_lower, col_upper, cols = p.col_lower, p.col_upper, p.cols
     integral = p.col_integral
-    lower, upper, boxed = ws if ws is not None else _workspace(p)
+    lower, upper = ws if ws is not None else _workspace(p)
     exact = ctx.mode is Mode.RATIONAL
     rtol = screen_rtol(ctx)
     changed: List[int] = []
-    rowstate: Dict[int, list] = {}
+    rowstate = _Overlay(view.activities.state)
 
-    def set_bounds(j, lo, up, new_lo, new_up):
-        """Move column j's shares in its rows' overlays from (lo, up) to
-        (new_lo, new_up).  In float64 the old share is subtracted, then the
-        new one added, slot by slot, as `ModelUpdate` does; in rational
-        mode, with all four bounds finite, the shares of the bounds that
-        changed move by a times the difference, which is exactly the same.
-        A branch only shrinks bounds, so a column with a finite global box
-        has four finite bounds here."""
-        if boxed[j]:
-            all_fin = True
-        else:
-            lo_fin, up_fin = is_finite(lo), is_finite(up)
-            new_lo_fin, new_up_fin = is_finite(new_lo), is_finite(new_up)
-            all_fin = lo_fin and up_fin and new_lo_fin and new_up_fin
-            # change of the count of infinite lower/upper bounds
-            d_lo = (not new_lo_fin) - (not lo_fin)
-            d_up = (not new_up_fin) - (not up_fin)
-        shift = all_fin and exact
-        if shift:
-            step_lo = new_lo - lo if new_lo != lo else None
-            step_up = new_up - up if new_up != up else None
-        for i, a in cols[j].items():
-            st = rowstate.get(i)
-            if st is None:
-                st = rowstate[i] = list(act.snapshot(i))
-            if shift:
-                # the lower bound gives a positive entry's minimum share
-                lo_slot = 0 if a > 0 else 1
-                if step_lo is not None:
-                    st[lo_slot] += a * step_lo
-                if step_up is not None:
-                    st[1 - lo_slot] += a * step_up
-            elif all_fin:  # the common case, the same arithmetic
-                if a > 0:
-                    st[0] = st[0] - a * lo + a * new_lo
-                    st[1] = st[1] - a * up + a * new_up
-                else:
-                    st[0] = st[0] - a * up + a * new_up
-                    st[1] = st[1] - a * lo + a * new_lo
-            elif a > 0:
-                if lo_fin:
-                    st[0] -= a * lo
-                if new_lo_fin:
-                    st[0] += a * new_lo
-                if up_fin:
-                    st[1] -= a * up
-                if new_up_fin:
-                    st[1] += a * new_up
-                st[2] += d_lo
-                st[3] += d_up
-            else:
-                if up_fin:
-                    st[0] -= a * up
-                if new_up_fin:
-                    st[0] += a * new_up
-                if lo_fin:
-                    st[1] -= a * lo
-                if new_lo_fin:
-                    st[1] += a * new_lo
-                st[2] += d_up
-                st[3] += d_lo
+    def set_bounds(j, new_lo, new_up):
+        move_shares(rowstate, cols[j].items(), lower[j], upper[j], new_lo,
+                    new_up, exact)
         lower[j] = new_lo
         upper[j] = new_up
         changed.append(j)
@@ -466,14 +381,12 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
     try:
         v = ctx.number(val)
         if v != lower[k] or v != upper[k]:
-            set_bounds(k, lower[k], upper[k], v, v)
+            set_bounds(k, v, v)
         affected = set(cols[k])
         for _ in range(2):
             next_affected = set()
             for i in sorted(affected):
-                st = rowstate.get(i)
-                if st is None:
-                    st = rowstate[i] = list(act.snapshot(i))
+                st = rowstate[i]
                 entries, lhs, rhs, top = rows.get(i) or _cache_row(rows, p, i,
                                                                    rtol)
                 if rhs is not None and not ctx.feas_leq(
@@ -500,7 +413,7 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                     if new_lo > new_up and not ctx.feas_leq(new_lo, new_up):
                         return None
                     if new_lo is not lo or new_up is not up:
-                        set_bounds(j, lo, up, new_lo, new_up)
+                        set_bounds(j, new_lo, new_up)
                         next_affected.update(cols[j])
                         thr = screen_threshold(st, lhs, rhs, rtol)
             affected = next_affected
@@ -570,15 +483,15 @@ def _probe_merge(view: PresolveView, k: int, res0: Optional[dict],
         + aggregations
 
 
-def _probe_chunk(candidates: List[int]) -> list:
-    """The candidates' transactions in order.  A candidate whose two
-    branches are both infeasible ends the chunk with an InfeasibleError,
-    which run_probing raises."""
-    view = _VIEW
+def _probe_chunk(view: PresolveView, rows: Dict[int, tuple], ws: tuple,
+                 candidates: List[int]) -> list:
+    """The candidates' transactions in order, with the call's row cache
+    and workspace.  A candidate whose two branches are both infeasible
+    ends the chunk with an InfeasibleError, which run_probing raises."""
     out: list = []
     for k in candidates:
-        res0 = _probe_propagate(view, _SORTED_ROWS, k, 0, _BOUNDS)
-        res1 = _probe_propagate(view, _SORTED_ROWS, k, 1, _BOUNDS)
+        res0 = _probe_propagate(view, rows, k, 0, ws)
+        res1 = _probe_propagate(view, rows, k, 1, ws)
         if res0 is None and res1 is None:
             out.append(InfeasibleError(
                 f"probing {view.problem.col_names[k]}: both branches "
@@ -599,7 +512,6 @@ def run_probing(view: PresolveView) -> List[Transaction]:
     transaction, and probes nothing when no binary changed.  A candidate
     whose two branches are both infeasible raises InfeasibleError and
     ends the call."""
-    global _BOUNDS
     p = view.problem
     binaries = [j for j in p.active_cols() if p.is_binary(j)]
     if not binaries:
@@ -614,24 +526,26 @@ def run_probing(view: PresolveView) -> List[Transaction]:
         ordered = first + [j for j in binaries if j not in changed]
         batches = [ordered[s:s + PROBING_BATCH]
                    for s in range(0, len(ordered), PROBING_BATCH)]
-    _BOUNDS = _workspace(p)
+    # the batches of the call share its row cache and workspace
+    rows: Dict[int, tuple] = {}
+    ws = _workspace(p)
+
+    def probe_chunk(candidates: List[int]) -> list:
+        return _probe_chunk(view, rows, ws, candidates)
+
     txs: List[Transaction] = []
-    try:
-        for batch in batches:
-            found = _fan_out(view, _probe_chunk, batch,
-                             len(batch) >= PROBING_PARALLEL_MIN_CANDIDATES
-                             and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
-            # chunks are contiguous, so the first error is the first
-            # candidate's
-            for tx in found:
-                if isinstance(tx, InfeasibleError):
-                    raise tx
-            if not found:
-                break
-            txs.extend(found)
-    finally:
-        _BOUNDS = None
-        _SORTED_ROWS.clear()
+    for batch in batches:
+        found = _fan_out(view, probe_chunk, batch,
+                         len(batch) >= PROBING_PARALLEL_MIN_CANDIDATES
+                         and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
+        # chunks are contiguous, so the first error is the first
+        # candidate's
+        for tx in found:
+            if isinstance(tx, InfeasibleError):
+                raise tx
+        if not found:
+            break
+        txs.extend(found)
     return txs
 
 
@@ -684,8 +598,7 @@ def run_substitution(view: PresolveView) -> List[Transaction]:
 # Sparsify
 
 
-def _sparsify_equation(e: int) -> List[Transaction]:
-    view = _VIEW
+def _sparsify_equation(view: PresolveView, e: int) -> List[Transaction]:
     p = view.problem
     ctx = view.ctx
     eq_entries = p.row_entries(e)
@@ -735,10 +648,6 @@ def _sparsify_equation(e: int) -> List[Transaction]:
     return txs
 
 
-def _sparsify_chunk(eqs: List[int]) -> List[Transaction]:
-    return [tx for e in eqs for tx in _sparsify_equation(e)]
-
-
 def run_sparsify(view: PresolveView) -> List[Transaction]:
     """Add multiples of equations to overlapping rows to cancel nonzeros."""
     p = view.problem
@@ -746,5 +655,9 @@ def run_sparsify(view: PresolveView) -> List[Transaction]:
            if p.is_equation(i) and len(p.rows[i]) >= 2]
     if not eqs:
         return []
-    return _fan_out(view, _sparsify_chunk, eqs,
+
+    def sparsify_chunk(chunk: List[int]) -> List[Transaction]:
+        return [tx for e in chunk for tx in _sparsify_equation(view, e)]
+
+    return _fan_out(view, sparsify_chunk, eqs,
                     len(eqs) >= SPARSIFY_PARALLEL_MIN_EQS)

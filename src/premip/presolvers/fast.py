@@ -167,7 +167,7 @@ def run_propagation(view: PresolveView) -> List[Transaction]:
                 assert_row(i), assert_row_bounds(i),
                 ReductionStep(StepKind.MARK_ROW_REDUNDANT, row=i)]))
             continue
-        state = act.snapshot(i)
+        state = act.state[i]
         lhs, rhs = finite_side(lhs), finite_side(rhs)
         thr = screen_threshold(state, lhs, rhs, rtol)
         for j, a in entries:

@@ -18,7 +18,8 @@ from ..numerics import (INF, Number, affine_range, bound_improves_lower,
                         bound_improves_upper, div, is_finite, quotient_range)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import PresolveView, coeff_gcd, has_units, integral_coeffs
+from .common import (PresolveView, coeff_gcd, has_units, integral_coeffs,
+                     max_residual, min_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +39,9 @@ def run_simpleprobing(view: PresolveView) -> List[Transaction]:
         entries = p.row_entries(i)
         if len(entries) < 2:
             continue
-        if act.n_min_inf[i] or act.n_max_inf[i]:
+        min_eff, max_eff, n_min_inf, n_max_inf = act.state[i]
+        if n_min_inf or n_max_inf:
             continue
-        min_eff, max_eff = act.min_sum[i], act.max_sum[i]
         b = p.row_lhs[i]
         span = max_eff - min_eff
         if not ctx.approx_eq(b + b, min_eff + max_eff):
@@ -357,23 +358,23 @@ def _worst_case_cap(view: PresolveView, j: int, upper: bool) -> Optional[Number]
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
         if upper:
             if a > 0 and is_finite(rhs):
-                res = act.max_residual(i, a, lo, up)
+                res = max_residual(act.state[i], a, lo, up)
                 if not is_finite(res):
                     return None
                 best = min(best, div(rhs - res, a))
             elif a < 0 and is_finite(lhs):
-                res = act.max_residual(i, a, lo, up)
+                res = max_residual(act.state[i], a, lo, up)
                 if not is_finite(res):
                     return None
                 best = min(best, div(lhs - res, a))
         else:
             if a > 0 and is_finite(lhs):
-                res = act.min_residual(i, a, lo, up)
+                res = min_residual(act.state[i], a, lo, up)
                 if not is_finite(res):
                     return None
                 best = max(best, div(lhs - res, a))
             elif a < 0 and is_finite(rhs):
-                res = act.min_residual(i, a, lo, up)
+                res = min_residual(act.state[i], a, lo, up)
                 if not is_finite(res):
                     return None
                 best = max(best, div(rhs - res, a))
@@ -421,11 +422,11 @@ def _fix_value_feasible(view: PresolveView, j: int, v: Number) -> bool:
     for i, a in p.cols[j].items():
         rhs, lhs = p.row_rhs[i], p.row_lhs[i]
         if is_finite(rhs):
-            res = act.min_residual(i, a, lo, up)
+            res = min_residual(act.state[i], a, lo, up)
             if is_finite(res) and not ctx.feas_leq(res + a * v, rhs):
                 return False
         if is_finite(lhs):
-            res = act.max_residual(i, a, lo, up)
+            res = max_residual(act.state[i], a, lo, up)
             if is_finite(res) and not ctx.feas_leq(lhs, res + a * v):
                 return False
     return True

@@ -59,7 +59,7 @@ def parse_log(path: str) -> LogSummary:
 
     with read_text(path, lambda why, line: ValueError(
             f"{path}:{line}: {why}")) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens:
                 continue
@@ -71,6 +71,9 @@ def parse_log(path: str) -> LogSummary:
             if tokens[0] != "txn":
                 continue
             # txn <p> index <i> status <S> conflict <q> redundant <r>
+            if len(tokens) < 10:
+                raise ValueError(f"{path}:{lineno}: txn line has "
+                                 f"{len(tokens)} fields, expected 10")
             p = tokens[1]
             status = tokens[5]
             conflict = tokens[7]

@@ -120,8 +120,7 @@ class TestNoFloatInRationalMode:
             result = presolve(p)
         found = list(_problem_floats(result.problem, "reduced"))
         for upd in updates:
-            found += _floats(upd.activities.min_sum, "min_sum")
-            found += _floats(upd.activities.max_sum, "max_sum")
+            found += _floats(upd.activities.state, "activities")
         record = result.record
         found += _floats(record.entries, "entries")
         found += _floats([record.objective, record.objective_offset],

@@ -22,7 +22,8 @@ import premip.parallel as parallel
 from premip.parallel import fork_map
 from premip.presolvers import PresolveView, runner
 from premip.presolvers.common import (GATE_RTOL, finite_side,
-                                      implied_bounds, screen_rtol,
+                                      implied_bounds, max_residual,
+                                      min_residual, screen_rtol,
                                       screen_threshold, slack_need)
 from premip.transactions import (ReductionStep, StepKind, Transaction,
                                  assert_col_bounds)
@@ -80,10 +81,40 @@ def rows(draw, rational):
     return p
 
 
-def _expected_from_residuals(ctx, act, a, lo, up, lhs, rhs, integral):
+def _old_min_residual(state, a, lo, up):
+    """The minimum residual as `RowActivities.min_residual` and
+    `_min_contribution` computed it before the row state had one reader."""
+    if a > 0:
+        val, inf = (a * lo, False) if is_finite(lo) else (0, True)
+    else:
+        val, inf = (a * up, False) if is_finite(up) else (0, True)
+    if state[2] - (1 if inf else 0) > 0:
+        return NEG_INF
+    return state[0] - val
+
+
+def _old_max_residual(state, a, lo, up):
+    if a > 0:
+        val, inf = (a * up, False) if is_finite(up) else (0, True)
+    else:
+        val, inf = (a * lo, False) if is_finite(lo) else (0, True)
+    if state[3] - (1 if inf else 0) > 0:
+        return INF
+    return state[1] - val
+
+
+# the residual rules the kernel is checked against: the old formula, and
+# the helpers that serve the kernel, DualFix and FixContinuous
+RESIDUALS = ((_old_min_residual, _old_max_residual),
+             (min_residual, max_residual))
+
+
+def _expected_from_residuals(ctx, residuals, state, a, lo, up, lhs, rhs,
+                             integral):
+    min_res, max_res = residuals
     lower, upper = NEG_INF, INF
     if is_finite(rhs):
-        res = act.min_residual(0, a, lo, up)
+        res = min_res(state, a, lo, up)
         if is_finite(res):
             cap = (rhs - res) / a
             if a > 0:
@@ -91,7 +122,7 @@ def _expected_from_residuals(ctx, act, a, lo, up, lhs, rhs, integral):
             else:
                 lower = ctx.round_up_bound(cap) if integral else cap
     if is_finite(lhs):
-        res = act.max_residual(0, a, lo, up)
+        res = max_res(state, a, lo, up)
         if is_finite(res):
             cap = (lhs - res) / a
             if a > 0:
@@ -127,16 +158,20 @@ class TestImpliedBounds:
     @settings(max_examples=250, deadline=None)
     @given(rows(rational=False))
     def test_float64_bit_equal_to_residual_formula(self, p):
-        act = RowActivities.compute(p)
+        state = RowActivities.compute(p).state[0]
         lhs, rhs = p.row_lhs[0], p.row_rhs[0]
         for j, a in p.rows[0].items():
             lo, up, integral = p.col_lower[j], p.col_upper[j], \
                 p.col_integral[j]
-            got = implied_bounds(FLOAT, act.snapshot(0), a, lo, up, lhs, rhs,
+            got = implied_bounds(FLOAT, state, a, lo, up, lhs, rhs,
                                  integral)
-            want = _expected_from_residuals(FLOAT, act, a, lo, up, lhs, rhs,
-                                            integral)
-            assert list(map(_bits, got)) == list(map(_bits, want))
+            for residuals in RESIDUALS:
+                want = _expected_from_residuals(FLOAT, residuals, state, a,
+                                                lo, up, lhs, rhs, integral)
+                assert list(map(_bits, got)) == list(map(_bits, want))
+            for new, old in zip(RESIDUALS[1], RESIDUALS[0]):
+                assert _bits(new(state, a, lo, up)) == \
+                    _bits(old(state, a, lo, up))
 
     @settings(max_examples=250, deadline=None)
     @given(rows(rational=True))
@@ -156,7 +191,7 @@ class TestImpliedBounds:
             if integral:
                 lower = RATIONAL.round_up_bound(lower)
                 upper = RATIONAL.round_down_bound(upper)
-            got = implied_bounds(RATIONAL, act.snapshot(0), a,
+            got = implied_bounds(RATIONAL, act.state[0], a,
                                  p.col_lower[j], p.col_upper[j], lhs, rhs,
                                  integral)
             assert got == (lower, upper)
@@ -203,7 +238,7 @@ class TestNoneSides:
         act = RowActivities.compute(p)
         lhs, rhs = p.row_lhs[0], p.row_rhs[0]
         for j, a in p.rows[0].items():
-            args = (act.snapshot(0), a, p.col_lower[j], p.col_upper[j])
+            args = (act.state[0], a, p.col_lower[j], p.col_upper[j])
             got = implied_bounds(ctx, *args, finite_side(lhs),
                                  finite_side(rhs), p.col_integral[j])
             want = _kernel_with_infinite_sides(ctx, *args, lhs, rhs,
@@ -812,7 +847,7 @@ class TestFanOut:
                     assert repr(txs[3]) == repr(txs[1]), (name, ncols, seed)
                     found[name] += len(txs[1])
         assert all(found.values()), found
-        for chunk_fn in ("_domcol_chunk", "_probe_chunk", "_sparsify_chunk"):
+        for chunk_fn in ("domcol_chunk", "probe_chunk", "sparsify_chunk"):
             for workers in (2, 3):
                 assert (chunk_fn, workers) in forked
 
@@ -826,6 +861,10 @@ def test_forked_workers_inherit_a_frozen_heap():
     the shared pages alone; the parent's heap is unfrozen afterwards."""
     assert all(n > 0 for n in fork_map(_frozen_in_worker, [0, 1, 2], 2))
     assert gc.get_freeze_count() == 0
+    # a closure reaches the workers too: they inherit it
+    base = [os.getpid()]
+    assert fork_map(lambda k: (base[0], k), [0, 1, 2], 2) == [
+        (base[0], 0), (base[0], 1), (base[0], 2)]
 
 
 def _pid(_):
@@ -877,7 +916,6 @@ def _probe_at_each_worker_count(upd, changed_cols=None):
             out[workers] = repr(exhaustive.run_probing(view))
         except InfeasibleError as err:
             out[workers] = f"InfeasibleError: {err}"
-        assert exhaustive._VIEW is None and not exhaustive._SORTED_ROWS
     return out
 
 
@@ -958,14 +996,13 @@ class TestProbingAcrossWorkers:
             spans.append(len(per_workers[1]))
         assert max(spans) >= 2, spans
 
-    def test_sorted_rows_die_with_the_call(self, monkeypatch):
-        """Probing A and then B equals probing B alone, with a cache that
-        never saw A: no sorted row of A is read for B."""
+    def test_sorted_rows_die_with_the_call(self):
+        """Probing A and then B twice gives B's transactions both times:
+        no sorted row of A, or of B's first call, is read again."""
         a = ModelUpdate(random_medium_mip(random.Random(5), 60, 40))
         b = ModelUpdate(random_medium_mip(random.Random(6), 60, 40))
         _probe_at_each_worker_count(a)
         after_a = _probe_at_each_worker_count(b)
-        monkeypatch.setattr(exhaustive, "_SORTED_ROWS", {})
         assert _probe_at_each_worker_count(b) == after_a
 
 
@@ -1074,11 +1111,17 @@ class TestProbingWorkspace:
         calls = multiprocessing.Value("i", 0)
         infeasible = multiprocessing.Value("i", 0)
         inner = exhaustive._probe_propagate
+        workspace = exhaustive._workspace
+        made = []  # the workspace of each run_probing call
+
+        def recording_workspace(p):
+            made.append(workspace(p))
+            return made[-1]
 
         def checked(view, rows, k, val, ws=None):
             out = inner(view, rows, k, val, ws)
             p = view.problem
-            assert ws is exhaustive._BOUNDS and ws is not None
+            assert ws is made[-1]
             for mine, theirs in ((ws[0], p.col_lower), (ws[1], p.col_upper)):
                 assert len(mine) == len(theirs)
                 assert all(x is y for x, y in zip(mine, theirs)), (k, val)
@@ -1090,6 +1133,7 @@ class TestProbingWorkspace:
             return out
 
         monkeypatch.setattr(exhaustive, "_probe_propagate", checked)
+        monkeypatch.setattr(exhaustive, "_workspace", recording_workspace)
         problems = [_infeasible_gadgets([22, 10, 26]),
                     _infeasible_gadgets([])]
         for seed in range(3):
@@ -1106,7 +1150,6 @@ class TestProbingWorkspace:
                         workers=workers))
                 except InfeasibleError:
                     pass
-                assert exhaustive._BOUNDS is None
             assert calls.value > 100 and infeasible.value > 0, workers
 
     def test_direct_call_restores_an_infeasible_branch(self):

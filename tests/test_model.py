@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from premip import NumericContext, Problem
 from premip.model import (ColState, InfeasibleError, Locks, ModelUpdate,
-                          RowActivities)
-from premip.numerics import INF, NEG_INF
+                          RowActivities, add_shares, move_shares)
+from premip.numerics import INF, NEG_INF, is_finite
 
 from conftest import (make_problem, random_medium_mip, random_mixed_mip,
                       to_rational)
@@ -27,7 +28,7 @@ class TestActivities:
         act = RowActivities.compute(knapsack())
         assert act.min_effective(0) == 0
         assert act.max_effective(0) == 15
-        assert act.n_min_inf[0] == 0 and act.n_max_inf[0] == 0
+        assert act.state[0][2:] == [0, 0]  # no infinite share
 
     def test_empty_row(self):
         p = make_problem(CTX, [(0, 1, 0, False)], [({}, NEG_INF, 5)])
@@ -39,7 +40,7 @@ class TestActivities:
         p = make_problem(CTX, [(0, INF, 0, False), (NEG_INF, 0, 0, False)],
                          [({0: 1, 1: -1}, NEG_INF, 0)])
         act = RowActivities.compute(p)
-        assert act.n_max_inf[0] == 2
+        assert act.state[0][3] == 2  # two infinite maximum shares
         assert act.min_effective(0) == 0
         assert act.max_effective(0) == INF
 
@@ -54,17 +55,17 @@ class TestActivities:
     def test_noop_change(self):
         p = knapsack()
         upd = ModelUpdate(p)
-        before = upd.activities.snapshot(0)
+        before = list(upd.activities.state[0])
         assert not upd.change_upper(1, 1, SETTER)
-        assert upd.activities.snapshot(0) == before
+        assert upd.activities.state[0] == before
 
     def test_infinite_to_finite_lower(self):
         p = make_problem(CTX, [(NEG_INF, 5, 0, False)],
                          [({0: 2}, NEG_INF, 10)])
         upd = ModelUpdate(p)
-        assert upd.activities.n_min_inf[0] == 1
+        assert upd.activities.state[0][2] == 1
         upd.change_lower(0, 0, SETTER)
-        assert upd.activities.n_min_inf[0] == 0
+        assert upd.activities.state[0][2] == 0
         assert upd.activities.min_effective(0) == 0  # contribution 2*0
 
     def test_incremental_equals_recompute_random(self):
@@ -104,10 +105,10 @@ class TestActivities:
                 total_changes += 1
                 fresh = RowActivities.compute(p)
                 for i in p.active_rows():
-                    assert abs(fresh.min_sum[i] - upd.activities.min_sum[i]) < 1e-9
-                    assert abs(fresh.max_sum[i] - upd.activities.max_sum[i]) < 1e-9
-                    assert fresh.n_min_inf[i] == upd.activities.n_min_inf[i]
-                    assert fresh.n_max_inf[i] == upd.activities.n_max_inf[i]
+                    want, got = fresh.state[i], upd.activities.state[i]
+                    assert abs(want[0] - got[0]) < 1e-9
+                    assert abs(want[1] - got[1]) < 1e-9
+                    assert want[2:] == got[2:]
         # rational input: bounds move both ways, between finite values
         # (the shifted sums) and to and from infinity; the sums stay exact
         rng = random.Random(4)
@@ -138,7 +139,119 @@ class TestActivities:
                 total_changes += 1
                 fresh = RowActivities.compute(p)
                 for i in p.active_rows():
-                    assert upd.activities.snapshot(i) == fresh.snapshot(i)
+                    assert upd.activities.state[i] == fresh.state[i]
+
+
+# ---------------------------------------------------------------------------
+# the two share rules against the entry operations they replaced
+
+
+def _old_add_entry(st, a, lo, up):
+    """`RowActivities.add_entry` as it was, over a row state."""
+    low, high = (lo, up) if a > 0 else (up, lo)
+    if is_finite(low):
+        st[0] = st[0] + a * low
+    else:
+        st[2] += 1
+    if is_finite(high):
+        st[1] = st[1] + a * high
+    else:
+        st[3] += 1
+
+
+def _old_remove_entry(st, a, lo, up):
+    """`RowActivities.remove_entry` as it was, over a row state."""
+    low, high = (lo, up) if a > 0 else (up, lo)
+    if is_finite(low):
+        st[0] = st[0] - a * low
+    else:
+        st[2] -= 1
+    if is_finite(high):
+        st[1] = st[1] - a * high
+    else:
+        st[3] -= 1
+
+
+def _bits(v):
+    """A float by its type and repr, so -0.0 differs from 0.0; an exact
+    value by its value."""
+    return (float, repr(v)) if isinstance(v, float) else ("exact", v)
+
+
+# bounds: infinities, signed zeros, and in rational mode ints above 1e308
+_FLOAT_BOUNDS = st.one_of(st.sampled_from([NEG_INF, INF, 0.0, -0.0]),
+                          st.floats(-1e6, 1e6))
+_EXACT_BOUNDS = st.one_of(
+    st.sampled_from([NEG_INF, INF, 0, 10**400, -10**400]),
+    st.integers(-50, 50), st.fractions(-50, 50, max_denominator=7))
+
+
+@st.composite
+def share_moves(draw, rational):
+    """(states, entries, lo, up, new_lo, new_up): one column's entries in
+    up to five rows, their row states, and its old and new bounds."""
+    bounds = _EXACT_BOUNDS if rational else _FLOAT_BOUNDS
+    if rational:
+        sums = st.one_of(st.integers(-10**6, 10**6),
+                         st.fractions(-10**6, 10**6, max_denominator=9))
+        coeffs = st.one_of(st.integers(-9, 9), st.just(10**400),
+                           st.fractions(-9, 9, max_denominator=5))
+    else:
+        sums = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+        coeffs = st.one_of(st.sampled_from([1.0, -1.0]),
+                           st.floats(-100, 100))
+    n = draw(st.integers(1, 5))
+    entries = [(i, draw(coeffs.filter(lambda v: v != 0))) for i in range(n)]
+    states = [[draw(sums), draw(sums), draw(st.integers(0, 3)),
+               draw(st.integers(0, 3))] for _ in range(n)]
+    return (states, entries, draw(bounds), draw(bounds), draw(bounds),
+            draw(bounds))
+
+
+class TestShareRules:
+    """`move_shares` equals removing the column's entries with their old
+    bounds and adding them back with the new ones, bit for bit in float64
+    and exactly in rational mode; `add_shares` equals the old entry
+    operations."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(share_moves(rational=False))
+    def test_move_float64_bit_equal_to_remove_then_add(self, case):
+        states, entries, lo, up, new_lo, new_up = case
+        want = [list(s) for s in states]
+        for i, a in entries:
+            _old_remove_entry(want[i], a, lo, up)
+        for i, a in entries:
+            _old_add_entry(want[i], a, new_lo, new_up)
+        move_shares(states, entries, lo, up, new_lo, new_up, False)
+        assert [list(map(_bits, s)) for s in states] == \
+            [list(map(_bits, s)) for s in want]
+
+    @settings(max_examples=500, deadline=None)
+    @given(share_moves(rational=True))
+    def test_move_rational_equal_to_remove_then_add(self, case):
+        states, entries, lo, up, new_lo, new_up = case
+        want = [list(s) for s in states]
+        for i, a in entries:
+            _old_remove_entry(want[i], a, lo, up)
+            _old_add_entry(want[i], a, new_lo, new_up)
+        move_shares(states, entries, lo, up, new_lo, new_up, True)
+        assert states == want
+        assert not any(isinstance(v, float) for s in states for v in s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(
+        lambda r: st.tuples(st.just(r), share_moves(r))))
+    def test_add_and_remove_equal_the_old_entry_operations(self, drawn):
+        rational, (states, entries, lo, up, _, _) = drawn
+        for i, a in entries:
+            mine, want = list(states[i]), list(states[i])
+            add_shares(mine, a, lo, up)
+            _old_add_entry(want, a, lo, up)
+            assert list(map(_bits, mine)) == list(map(_bits, want))
+            add_shares(mine, a, up, lo, -1)
+            _old_remove_entry(want, a, up, lo)
+            assert list(map(_bits, mine)) == list(map(_bits, want))
 
 
 class TestLocks:

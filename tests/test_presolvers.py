@@ -871,12 +871,9 @@ class TestProbing:
         p = make_problem(CTX, [(0, 1, 0, True), (0, 1, 0, True)],
                          [({0: 1, 1: 1}, 1, 1)])
         upd, view = fresh_view(p)
-        before = [view.activities.snapshot(i)
-                  for i in range(upd.problem.nrows)]
+        before = [list(st) for st in view.activities.state]
         runner("probing")(view)
-        after = [view.activities.snapshot(i)
-                 for i in range(upd.problem.nrows)]
-        assert before == after
+        assert view.activities.state == before
 
     def test_empty_changed_set_probes_nothing(self):
         # the candidate cap is 10x the changed binaries: zero changes

@@ -4,6 +4,7 @@ import pytest
 
 from premip import (NumericContext, PresolveOptions, presolve,
                     shifted_geomean)
+from premip.cli import EXIT_ERROR, main
 from premip.logs import MessageLog
 from premip.report import build_report, parse_log, render_report
 from premip.numerics import NEG_INF
@@ -69,6 +70,16 @@ class TestReportOnCraftedConflicts:
         with pytest.raises(ValueError,
                            match=f"{path}:2: not UTF-8 text at byte 0xff"):
             parse_log(str(path))
+
+    def test_short_txn_line_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "run.log"
+        path.write_text("round 1 tier fast\ntxn propagation index 0\n")
+        with pytest.raises(ValueError,
+                           match=f"{path}:2: txn line has 4 fields"):
+            parse_log(str(path))
+        assert main(["report", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: txn line has 4 fields")
 
     def test_invariants(self, tmp_path):
         path = str(tmp_path / "run.log")
