@@ -163,10 +163,13 @@ class NumericContext:
     # -- comparisons -------------------------------------------------------
 
     def approx_eq(self, a: Number, b: Number) -> bool:
-        """|a - b| <= epsilon * max(1, |a|, |b|); exact in rational mode."""
+        """|a - b| <= epsilon * max(1, |a|, |b|); exact in rational mode.
+        An infinity is approx_eq only to itself: its tolerance would be
+        infinite."""
         if self.epsilon == 0:
             return a == b
-        return abs(a - b) <= self.epsilon * max(1, abs(a), abs(b))
+        return a == b or abs(a - b) <= self.epsilon * max(
+            1, abs(a), abs(b)) < INF
 
     def eq_zero(self, v: Number) -> bool:
         if self.epsilon == 0:

@@ -59,6 +59,15 @@ class TestApproxEq:
             assert FLOAT.approx_eq(a, a)
             assert FLOAT.approx_eq(a, b) == FLOAT.approx_eq(b, a)
 
+    def test_an_infinity_equals_only_itself(self):
+        """abs(a - b) and the tolerance are both infinite next to an
+        infinity; probing's merge compares branch bounds that may be."""
+        for inf in (INF, NEG_INF):
+            assert FLOAT.approx_eq(inf, inf)
+            for other in (-inf, 5.0, 0.0, 1e308):
+                assert not FLOAT.approx_eq(inf, other)
+                assert not FLOAT.approx_eq(other, inf)
+
 
 class TestIntegrality:
     def test_exact_integer(self):

@@ -907,11 +907,6 @@ class TestProbingInfiniteBranchBounds:
                           PresolveOptions(numeric_mode="rational"))
         assert result.verdict.value == "reduced"
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "float64 approx_eq takes -inf as equal to every number, so "
-        "_probe_merge couples a column with infinite branch bounds "
-        "(x_j = -inf + nan*x_k) and a later fix leaves the bounds; "
-        "ROADMAP: approx_eq on infinities in probing"))
     def test_float64_is_not_infeasible(self):
         result = presolve(_halfopen_medium(0), PresolveOptions())
         assert result.verdict.value != "infeasible"

@@ -37,7 +37,7 @@ same corpus:
 - 8 all-integer rational `random_medium_mip(300, 250)` at 2 threads;
 - the 3000x2500 `random_medium_mip` at 1 thread;
 - the relabelled `probing_chain_instance(400)` and `(1200)` at 2 threads;
-- seeds 1-3 of the medium instance with a quarter of the bounds opened
+- seeds 0-3 of the medium instance with a quarter of the bounds opened
   against the cost only (all of the opened ones above are unbounded, and
   all but one stop in the first trivial presolve), at 1, 2 and 3 threads
   with the four `*_PARALLEL_MIN_*` gates of `premip.presolvers.exhaustive`
@@ -138,7 +138,7 @@ def _forked_runs():
     from premip import INF, NEG_INF
     import instances
 
-    for seed in range(1, 4):
+    for seed in range(4):
         halfopen = instances.random_medium_mip(random.Random(seed), 300, 250)
         rng = random.Random(seed)
         for j in range(halfopen.ncols):
