@@ -251,7 +251,7 @@ def slack_need(a: Number, lo: Number, up: Number, integral: bool,
     the non-improving side of the bound.  The screen and the kernel read
     the same cached sums, whose last bits depend on the sequence of
     removals and additions that built them; float64 keeps `ModelUpdate`'s
-    remove-then-add sequence (see `_set_col_bound_raw`), since shifting a
+    remove-then-add sequence (see `model.move_shares`), since shifting a
     sum by a*(new-old) would change those bits and with them the kernel's
     results.  Exact sums have no such bits: rational mode shifts them, and
     with rtol = 0 and feastol = 0 there is no margin and the need is
