@@ -371,17 +371,13 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
     changed: List[int] = []
     rowstate = _Overlay(view.activities.state)
 
-    def set_bounds(j, new_lo, new_up):
-        move_shares(rowstate, cols[j].items(), lower[j], upper[j], new_lo,
-                    new_up, exact)
-        lower[j] = new_lo
-        upper[j] = new_up
-        changed.append(j)
-
     try:
         v = ctx.number(val)
         if v != lower[k] or v != upper[k]:
-            set_bounds(k, v, v)
+            move_shares(rowstate, cols[k].items(), lower[k], upper[k], v, v,
+                        exact)
+            lower[k] = upper[k] = v
+            changed.append(k)
         affected = set(cols[k])
         for _ in range(2):
             next_affected = set()
@@ -413,7 +409,10 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
                     if new_lo > new_up and not ctx.feas_leq(new_lo, new_up):
                         return None
                     if new_lo is not lo or new_up is not up:
-                        set_bounds(j, new_lo, new_up)
+                        move_shares(rowstate, cols[j].items(), lo, up,
+                                    new_lo, new_up, exact)
+                        lower[j], upper[j] = new_lo, new_up
+                        changed.append(j)
                         next_affected.update(cols[j])
                         thr = screen_threshold(st, lhs, rhs, rtol)
             affected = next_affected
