@@ -378,6 +378,21 @@ def random_medium_mip(rng: random.Random, ncols: int, nrows: int,
     return p
 
 
+def halfopen_medium_mip(seed: int) -> Problem:
+    """The 300x250 medium instance of `seed` with a quarter of its bounds
+    opened against the cost only: a lower bound where the cost is <= 0, an
+    upper bound where it is >= 0.  It relaxes a feasible instance and
+    keeps a finite optimum, so a presolve of it runs every tier."""
+    p = random_medium_mip(random.Random(seed), 300, 250)
+    rng = random.Random(seed)
+    for j in range(p.ncols):
+        if rng.random() < 0.25 and p.obj[j] <= 0:
+            p.col_lower[j] = NEG_INF
+        if rng.random() < 0.25 and p.obj[j] >= 0:
+            p.col_upper[j] = INF
+    return p
+
+
 def to_rational(problem: Problem) -> Problem:
     """Clone a small-integer float problem into exact rational mode."""
     ctx = NumericContext.rational()

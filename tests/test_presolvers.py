@@ -17,10 +17,11 @@ from premip.presolvers.common import (coeff_gcd, has_units,
 from premip.transactions import (ReductionStep, StepKind, Transaction,
                                  TxStatus, assert_row, assert_row_bounds)
 
-from conftest import (brute_force, brute_force_mixed, late_structure_mip,
-                      make_problem, presolver_soundness_check, quotient,
-                      random_medium_mip, random_mixed_mip, random_small_mip,
-                      run_one_presolver, to_rational)
+from conftest import (brute_force, brute_force_mixed, halfopen_medium_mip,
+                      late_structure_mip, make_problem,
+                      presolver_soundness_check, quotient, random_medium_mip,
+                      random_mixed_mip, random_small_mip, run_one_presolver,
+                      to_rational)
 
 CTX = NumericContext.float64()
 RATIONAL = NumericContext.rational()
@@ -886,29 +887,14 @@ class TestProbing:
         assert runner("probing")(view) == []
 
 
-def _halfopen_medium(seed):
-    """The 300x250 medium instance with a quarter of its bounds opened
-    against the cost only, as the digest corpus's `medium-halfopen` runs
-    build it: a relaxation of a feasible instance, with a finite
-    optimum."""
-    p = random_medium_mip(random.Random(seed), 300, 250)
-    rng = random.Random(seed)
-    for j in range(p.ncols):
-        if rng.random() < 0.25 and p.obj[j] <= 0:
-            p.col_lower[j] = NEG_INF
-        if rng.random() < 0.25 and p.obj[j] >= 0:
-            p.col_upper[j] = INF
-    return p
-
-
 class TestProbingInfiniteBranchBounds:
     def test_rational_copy_is_reduced(self):
-        result = presolve(to_rational(_halfopen_medium(0)),
+        result = presolve(to_rational(halfopen_medium_mip(0)),
                           PresolveOptions(numeric_mode="rational"))
         assert result.verdict.value == "reduced"
 
     def test_float64_is_not_infeasible(self):
-        result = presolve(_halfopen_medium(0), PresolveOptions())
+        result = presolve(halfopen_medium_mip(0), PresolveOptions())
         assert result.verdict.value != "infeasible"
 
 

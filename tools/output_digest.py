@@ -31,17 +31,15 @@ same corpus:
 - `late_structure_mip` seeds 0-39, batched, in float64 and as exact
   rational copies;
 - 12 `random_medium_mip(300, 250)` at 1 and 2 threads, as drawn and with a
-  quarter of the bounds opened to infinity, and the opened ones' exact
-  rational copies at 1 thread, where infinite shares meet exact
-  arithmetic;
+  quarter of the bounds opened against the cost only
+  (`halfopen_medium_mip`), and the opened ones' exact rational copies at
+  1 thread, where infinite shares meet exact arithmetic;
 - 8 all-integer rational `random_medium_mip(300, 250)` at 2 threads;
 - the 3000x2500 `random_medium_mip` at 1 thread;
 - the relabelled `probing_chain_instance(400)` and `(1200)` at 2 threads;
-- seeds 0-3 of the medium instance with a quarter of the bounds opened
-  against the cost only (all of the opened ones above are unbounded, and
-  all but one stop in the first trivial presolve), at 1, 2 and 3 threads
-  with the four `*_PARALLEL_MIN_*` gates of `premip.presolvers.exhaustive`
-  at 0, so that Probing, DomCol and Sparsify fork.
+- seeds 0-3 of the half-open medium instance at 1, 2 and 3 threads with
+  the four `*_PARALLEL_MIN_*` gates of `premip.presolvers.exhaustive` at
+  0, so that Probing, DomCol and Sparsify fork.
 No timing enters a run's hash, so the digest depends on the outputs
 alone.  It takes about ten seconds.
 """
@@ -75,10 +73,9 @@ def _opts(threads=1, mode="float64", immediate=False):
 def _runs():
     """(name, problem, options, immediate) of every run but the forked
     ones, in a fixed order."""
-    from premip import INF, NEG_INF, NumericContext
-    from premip import read_mps, write_mps
-    from conftest import (late_structure_mip, random_mixed_mip,
-                          random_small_mip, to_rational)
+    from premip import NumericContext, read_mps, write_mps
+    from conftest import (halfopen_medium_mip, late_structure_mip,
+                          random_mixed_mip, random_small_mip, to_rational)
     import instances
 
     for seed in range(150):
@@ -100,18 +97,12 @@ def _runs():
                    read_mps(path, NumericContext.float64()), _opts(), False)
     for seed in range(12):
         medium = instances.random_medium_mip(random.Random(seed), 300, 250)
-        opened = instances.random_medium_mip(random.Random(seed), 300, 250)
-        rng = random.Random(seed)
-        for j in range(opened.ncols):
-            if rng.random() < 0.25:
-                opened.col_lower[j] = NEG_INF
-            if rng.random() < 0.25:
-                opened.col_upper[j] = INF
+        halfopen = halfopen_medium_mip(seed)
         for threads in (1, 2):
             yield (f"medium-{seed}-t{threads}", medium, _opts(threads), False)
-            yield (f"medium-open-{seed}-t{threads}", opened, _opts(threads),
-                   False)
-        yield (f"medium-open-rational-{seed}", to_rational(opened),
+            yield (f"medium-halfopen-{seed}-t{threads}", halfopen,
+                   _opts(threads), False)
+        yield (f"medium-halfopen-rational-{seed}", to_rational(halfopen),
                _opts(mode="rational"), False)
     for k in range(8):
         exact = instances.random_medium_mip(
@@ -133,19 +124,12 @@ def _runs():
 
 def _forked_runs():
     """(name, problem, options) of the runs made with the fork gates at 0:
-    medium instances opened only against the cost, so that the optimum
-    stays finite and the run reaches the exhaustive tier."""
-    from premip import INF, NEG_INF
-    import instances
+    half-open medium instances, whose optimum stays finite, so that the run
+    reaches the exhaustive tier."""
+    from conftest import halfopen_medium_mip
 
     for seed in range(4):
-        halfopen = instances.random_medium_mip(random.Random(seed), 300, 250)
-        rng = random.Random(seed)
-        for j in range(halfopen.ncols):
-            if rng.random() < 0.25 and halfopen.obj[j] <= 0:
-                halfopen.col_lower[j] = NEG_INF
-            if rng.random() < 0.25 and halfopen.obj[j] >= 0:
-                halfopen.col_upper[j] = INF
+        halfopen = halfopen_medium_mip(seed)
         for threads in (1, 2, 3):
             yield (f"medium-halfopen-{seed}-forked-t{threads}", halfopen,
                    _opts(threads))
