@@ -31,7 +31,7 @@ def build():
 
 
 def collect(update):
-    view = PresolveView(update.problem, update.activities, update.locks)
+    view = PresolveView(update.problem, update.activities)
     return run_simplifyineq(view), run_substitution(view)
 
 

@@ -8,8 +8,8 @@ mutation; deactivating a row or column removes its entries from the
 opposite view immediately, so iteration never has to filter dead entries.
 
 All mutations are funneled through ModelUpdate, which also maintains row
-activities, lock counts, per-round modification flags, the change journal,
-reduction counters and the postsolve record.  Presolvers never mutate.
+activities, per-round modification flags, the change journal, reduction
+counters and the postsolve record.  Presolvers never mutate.
 """
 from __future__ import annotations
 
@@ -339,45 +339,6 @@ class RowActivities:
 
 
 # ---------------------------------------------------------------------------
-# locks
-
-
-class Locks:
-    """Up-/down-lock counts: how many rows block moving a column up/down."""
-
-    def __init__(self, ncols: int):
-        self.up: List[int] = [0] * ncols
-        self.down: List[int] = [0] * ncols
-
-    @staticmethod
-    def compute(problem: Problem) -> "Locks":
-        locks = Locks(problem.ncols)
-        for i in problem.active_rows():
-            lfin = is_finite(problem.row_lhs[i])
-            rfin = is_finite(problem.row_rhs[i])
-            for j, a in problem.rows[i].items():
-                locks.add_entry(j, a, lfin, rfin)
-        return locks
-
-    def add_entry(self, j: int, a: Number, lhs_finite: bool,
-                  rhs_finite: bool, sign: int = 1) -> None:
-        if a > 0:
-            if rhs_finite:
-                self.up[j] += sign
-            if lhs_finite:
-                self.down[j] += sign
-        else:
-            if lhs_finite:
-                self.up[j] += sign
-            if rhs_finite:
-                self.down[j] += sign
-
-    def remove_entry(self, j: int, a: Number, lhs_finite: bool,
-                     rhs_finite: bool) -> None:
-        self.add_entry(j, a, lhs_finite, rhs_finite, sign=-1)
-
-
-# ---------------------------------------------------------------------------
 # modification flags and journal
 
 Setter = Tuple[int, str]  # (applied transaction index, presolver name)
@@ -504,8 +465,8 @@ class ModelUpdate:
     """Owns the problem plus all derived state during a presolve run.
 
     Every change goes through one of the methods below, which keep the
-    matrix views, activities, locks, flags, journal, counters and the
-    postsolve record consistent.  Methods return True when they changed
+    matrix views, activities, flags, journal, counters and the postsolve
+    record consistent.  Methods return True when they changed
     anything.
     """
 
@@ -516,7 +477,6 @@ class ModelUpdate:
         # exact arithmetic: bound changes shift the activity sums
         self.exact = problem.ctx.mode is Mode.RATIONAL
         self.activities = RowActivities.compute(problem)
-        self.locks = Locks.compute(problem)
         self.flags = ModificationFlags()
         self.journal: List[Tuple[str, int]] = []
         self.stats = stats
@@ -538,7 +498,7 @@ class ModelUpdate:
             setattr(self.stats, field_name,
                     getattr(self.stats, field_name) + amount)
 
-    # -- low-level entry ops (activities + locks + views) -------------------
+    # -- low-level entry ops (activities + views) ----------------------------
 
     def _remove_entry(self, i: int, j: int) -> None:
         p = self.problem
@@ -547,46 +507,27 @@ class ModelUpdate:
         p.nnz -= 1
         add_shares(self.activities.state[i], a, p.col_lower[j],
                    p.col_upper[j], -1)
-        self.locks.remove_entry(j, a, is_finite(p.row_lhs[i]),
-                                is_finite(p.row_rhs[i]))
 
     def _put_entry(self, i: int, j: int, v: Number) -> None:
         p = self.problem
         old = p.rows[i].get(j)
-        lfin, rfin = is_finite(p.row_lhs[i]), is_finite(p.row_rhs[i])
         st, lo, up = self.activities.state[i], p.col_lower[j], p.col_upper[j]
         if old is not None:
             add_shares(st, old, lo, up, -1)
-            self.locks.remove_entry(j, old, lfin, rfin)
         else:
             p.nnz += 1
         p.rows[i][j] = v
         p.cols[j][i] = v
         add_shares(st, v, lo, up)
-        self.locks.add_entry(j, v, lfin, rfin)
 
     def _set_side_raw(self, i: int, side: str, v: Number,
                       setter: Setter) -> bool:
-        """Unchecked, unrecorded side replacement; updates locks."""
+        """Unchecked, unrecorded side replacement."""
         p = self.problem
-        old = p.row_lhs[i] if side == "lhs" else p.row_rhs[i]
-        if old == v:
+        sides = p.row_lhs if side == "lhs" else p.row_rhs
+        if sides[i] == v:
             return False
-        was_finite = is_finite(old)
-        now_finite = is_finite(v)
-        if was_finite != now_finite:
-            # lock structure of every entry in the row changes
-            lfin, rfin = is_finite(p.row_lhs[i]), is_finite(p.row_rhs[i])
-            for j, a in p.rows[i].items():
-                self.locks.remove_entry(j, a, lfin, rfin)
-        if side == "lhs":
-            p.row_lhs[i] = v
-        else:
-            p.row_rhs[i] = v
-        if was_finite != now_finite:
-            lfin, rfin = is_finite(p.row_lhs[i]), is_finite(p.row_rhs[i])
-            for j, a in p.rows[i].items():
-                self.locks.add_entry(j, a, lfin, rfin)
+        sides[i] = v
         self.flags._mark(self.flags.row_bounds, i, setter)
         self._touch_row(i)
         return True
@@ -760,10 +701,8 @@ class ModelUpdate:
 
     def mark_row_redundant(self, i: int, setter: Setter) -> bool:
         p = self.problem
-        lfin, rfin = is_finite(p.row_lhs[i]), is_finite(p.row_rhs[i])
-        for j, a in sorted(p.rows[i].items()):
+        for j in sorted(p.rows[i]):
             del p.cols[j][i]
-            self.locks.remove_entry(j, a, lfin, rfin)
             p.nnz -= 1
             self._touch_col(j)
         p.rows[i].clear()

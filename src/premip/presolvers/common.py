@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from ..model import Locks, Problem, RowActivities
+from ..model import Problem, RowActivities
 from ..numerics import (INF, NEG_INF, Mode, Number, NumericContext, div,
                         is_finite, rational_gcd)
 from ..transactions import Transaction
@@ -42,7 +42,6 @@ class PresolveView:
     """
     problem: Problem
     activities: RowActivities
-    locks: Locks
     changed_rows: Optional[Set[int]] = None
     changed_cols: Optional[Set[int]] = None
     workers: int = 1

@@ -5,7 +5,7 @@ scan only view.scan_rows() or view.scan_cols(): the rows and columns the
 change journal lists since its previous call, the rows of listed columns
 and the columns of listed rows, and the rows and columns of its own
 transactions that were not applied.  Each reduction reads one row or
-column and the entries, bounds, costs, activities and locks next to it;
+column and the entries, bounds, costs, sides and activities next to it;
 a change to any of those lists that row or column.  ParallelRows and
 ParallelCols rebuild only the support buckets of the lines they scan.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..model import InfeasibleError, UnboundedError
+from ..model import InfeasibleError, Problem, UnboundedError
 from ..numerics import (INF, Number, affine_range, bound_improves_lower,
                         bound_improves_upper, div, is_finite, quotient_range)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
@@ -297,11 +297,10 @@ def run_stuffing(view: PresolveView) -> List[Transaction]:
 
 def run_dualfix(view: PresolveView) -> List[Transaction]:
     """Fix columns that no constraint blocks from moving toward their
-    objective-preferred bound."""
+    objective-preferred bound.  Whether a row blocks a direction is read
+    from the column's entries and their rows' sides (`_locked`)."""
     p = view.problem
     ctx = view.ctx
-    act = view.activities
-    locks = view.locks
     txs: List[Transaction] = []
     for j in view.scan_cols():
         if not p.cols[j]:
@@ -310,7 +309,7 @@ def run_dualfix(view: PresolveView) -> List[Transaction]:
         lo, up = p.col_lower[j], p.col_upper[j]
         if lo == up:
             continue
-        if c >= 0 and locks.down[j] == 0:
+        if c >= 0 and not _locked(p, j, up=False):
             if is_finite(lo):
                 txs.append(Transaction("dualfix", [
                     assert_col_bounds(j),
@@ -327,7 +326,7 @@ def run_dualfix(view: PresolveView) -> List[Transaction]:
                     txs.append(Transaction("dualfix", [
                         assert_col_bounds(j),
                         ReductionStep(StepKind.FIX_COLUMN, col=j, value=v)]))
-        elif c <= 0 and locks.up[j] == 0:
+        elif c <= 0 and not _locked(p, j, up=True):
             if is_finite(up):
                 txs.append(Transaction("dualfix", [
                     assert_col_bounds(j),
@@ -345,6 +344,15 @@ def run_dualfix(view: PresolveView) -> List[Transaction]:
                         assert_col_bounds(j),
                         ReductionStep(StepKind.FIX_COLUMN, col=j, value=v)]))
     return txs
+
+
+def _locked(p: Problem, j: int, up: bool) -> bool:
+    """Whether some row blocks column j from moving up (down when not up).
+    An entry a > 0 blocks up at a finite rhs and down at a finite lhs; an
+    entry a < 0 blocks the mirror directions.  Stops at the first blocking
+    row."""
+    return any(is_finite(p.row_rhs[i] if (a > 0) == up else p.row_lhs[i])
+               for i, a in p.cols[j].items())
 
 
 def _worst_case_cap(view: PresolveView, j: int, upper: bool) -> Optional[Number]:

@@ -150,8 +150,7 @@ class _Driver:
                 (rows if kind == "row" else cols).add(idx)
         self.watermarks[name] = len(self.update.journal)
         return PresolveView(self.update.problem, self.update.activities,
-                            self.update.locks, rows, cols,
-                            workers=self.workers)
+                            rows, cols, workers=self.workers)
 
     def _close_window(self) -> None:
         self.stats.merge_changes(self.window)

@@ -428,7 +428,7 @@ def run_one_presolver(name, problem):
     work = problem.copy()
     record = PostsolveRecord.for_problem(work)
     upd = ModelUpdate(work, record=record.entries)
-    view = PresolveView(upd.problem, upd.activities, upd.locks)
+    view = PresolveView(upd.problem, upd.activities)
     fn = run_trivial if name == "trivial" else runner(name)
     return upd, record, fn(view)
 

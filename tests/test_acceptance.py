@@ -112,7 +112,7 @@ class TestCriterion2ConflictOrdering:
         # same snapshot, one batch, mandated order: both APPLIED
         def collect():
             upd = ModelUpdate(interplay_problem())
-            view = PresolveView(upd.problem, upd.activities, upd.locks)
+            view = PresolveView(upd.problem, upd.activities)
             return upd, run_simplifyineq(view), run_substitution(view)
 
         upd, si, su = collect()
@@ -132,7 +132,7 @@ class TestCriterion2ConflictOrdering:
                           ({0: 6, 1: 6}, 4, INF),
                           ({0: 3, 1: 3}, 3, INF)])
         upd3 = ModelUpdate(p.copy())
-        view3 = PresolveView(upd3.problem, upd3.activities, upd3.locks)
+        view3 = PresolveView(upd3.problem, upd3.activities)
         txs = run_parallelrows(view3)
         assert len(txs) == 1
         apply_all(upd3, txs)

@@ -455,7 +455,7 @@ class TestSlackGate:
             out = []
             for p in instances:
                 upd = ModelUpdate(p.copy())
-                view = PresolveView(upd.problem, upd.activities, upd.locks)
+                view = PresolveView(upd.problem, upd.activities)
                 try:
                     out.append(repr(fast.run_propagation(view)))
                 except InfeasibleError as err:
@@ -575,7 +575,7 @@ class TestProbingScreen:
             out = []
             for p in instances:
                 upd = ModelUpdate(p.copy())
-                view = PresolveView(upd.problem, upd.activities, upd.locks)
+                view = PresolveView(upd.problem, upd.activities)
                 try:
                     out.append(repr(exhaustive.run_probing(view)))
                 except InfeasibleError as err:
@@ -613,7 +613,7 @@ class TestProbingScreen:
                                                    screen_rtol(ctx))
         assert entries[1][2] == INF and top == INF
         upd = ModelUpdate(p)
-        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        view = PresolveView(upd.problem, upd.activities)
         assert exhaustive._probe_propagate(view, rows, 0, 1) == {
             0: (1, 1), 2: (0, 5)}
         if ctx is RATIONAL:
@@ -704,7 +704,7 @@ class TestProbeMerge:
                         branch[j] = _branch_box(rng, lo, up,
                                                 p.col_integral[j])
             upd = ModelUpdate(p)
-            view = PresolveView(upd.problem, upd.activities, upd.locks)
+            view = PresolveView(upd.problem, upd.activities)
             got = exhaustive._probe_merge(view, k, *res)
             assert repr(got) == repr(_union_merge(view, k, *res)), seed
             found += len(got)
@@ -792,7 +792,7 @@ class TestProbePropagate:
     @given(probe_problems())
     def test_rational_equals_from_scratch_reference(self, p):
         upd = ModelUpdate(p)
-        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        view = PresolveView(upd.problem, upd.activities)
         for val in (0, 1):
             got = exhaustive._probe_propagate(view, {}, 0, val)
             assert got == _reference_probe(p, 0, val)
@@ -841,7 +841,7 @@ class TestFanOut:
                 upd = ModelUpdate(p)
                 for name in self.PRESOLVERS:
                     txs = {workers: runner(name)(PresolveView(
-                        upd.problem, upd.activities, upd.locks,
+                        upd.problem, upd.activities,
                         workers=workers)) for workers in (1, 2, 3)}
                     assert repr(txs[2]) == repr(txs[1]), (name, ncols, seed)
                     assert repr(txs[3]) == repr(txs[1]), (name, ncols, seed)
@@ -910,7 +910,7 @@ def _probe_at_each_worker_count(upd, changed_cols=None):
     workers 1, 2 and 3; a fresh view unless changed_cols is given."""
     out = {}
     for workers in (1, 2, 3):
-        view = PresolveView(upd.problem, upd.activities, upd.locks,
+        view = PresolveView(upd.problem, upd.activities,
                             changed_cols=changed_cols, workers=workers)
         try:
             out[workers] = repr(exhaustive.run_probing(view))
@@ -959,7 +959,7 @@ class TestProbingAcrossWorkers:
             for i in range(p.nrows):
                 p.rows[i] = dict(sorted(p.rows[i].items()))
             upd = ModelUpdate(p)
-            view = PresolveView(upd.problem, upd.activities, upd.locks)
+            view = PresolveView(upd.problem, upd.activities)
             apply_all(upd, runner("substitution")(view))
             q = upd.problem
             unordered += sum(list(q.rows[i]) != sorted(q.rows[i])
@@ -1042,8 +1042,7 @@ class TestProbingBatches:
 
     def test_fresh_call_is_one_fan_out(self, fanned_out):
         upd = ModelUpdate(_implication_ladder(150))
-        exhaustive.run_probing(PresolveView(upd.problem, upd.activities,
-                                            upd.locks))
+        exhaustive.run_probing(PresolveView(upd.problem, upd.activities))
         assert fanned_out == [(1, list(range(150)))]
 
     def test_changed_binary_beyond_the_old_prefix_comes_first(
@@ -1052,7 +1051,7 @@ class TestProbingBatches:
         and never x38."""
         upd = ModelUpdate(_implication_ladder(40))
         txs = exhaustive.run_probing(PresolveView(
-            upd.problem, upd.activities, upd.locks, changed_cols={38}))
+            upd.problem, upd.activities, changed_cols={38}))
         first = fanned_out[0][1]
         assert first == [38] + [j for j in range(40) if j != 38]
         assert len(first) <= exhaustive.PROBING_BATCH
@@ -1062,7 +1061,7 @@ class TestProbingBatches:
     def test_a_fruitless_batch_ends_the_call(self, fanned_out, monkeypatch):
         monkeypatch.setattr(exhaustive, "PROBING_BATCH", 8)
         upd = ModelUpdate(_implication_ladder(40))
-        view = PresolveView(upd.problem, upd.activities, upd.locks,
+        view = PresolveView(upd.problem, upd.activities,
                             changed_cols={38, 20})
         # x38's batch finds its fixing, the next finds nothing
         assert exhaustive.run_probing(view)
@@ -1071,7 +1070,7 @@ class TestProbingBatches:
         # no changed binary, nothing to probe
         fanned_out.clear()
         assert exhaustive.run_probing(PresolveView(
-            upd.problem, upd.activities, upd.locks, changed_cols=set())) == []
+            upd.problem, upd.activities, changed_cols=set())) == []
         assert fanned_out == []
 
     def test_next_call_on_probe_chain_probes_one_batch(self, monkeypatch):
@@ -1146,7 +1145,7 @@ class TestProbingWorkspace:
                 upd = ModelUpdate(p)
                 try:
                     exhaustive.run_probing(PresolveView(
-                        upd.problem, upd.activities, upd.locks,
+                        upd.problem, upd.activities,
                         workers=workers))
                 except InfeasibleError:
                     pass
@@ -1154,7 +1153,7 @@ class TestProbingWorkspace:
 
     def test_direct_call_restores_an_infeasible_branch(self):
         upd = ModelUpdate(_infeasible_gadgets([10]))
-        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        view = PresolveView(upd.problem, upd.activities)
         p = upd.problem
         ws = exhaustive._workspace(p)
         for val in (0, 1):

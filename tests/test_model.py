@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from premip import NumericContext, Problem
-from premip.model import (ColState, InfeasibleError, Locks, ModelUpdate,
+from premip.model import (ColState, InfeasibleError, ModelUpdate,
                           RowActivities, add_shares, move_shares)
 from premip.numerics import INF, NEG_INF, is_finite
+from premip.presolvers.medium import _locked
 
 from conftest import (make_problem, random_medium_mip, random_mixed_mip,
                       to_rational)
@@ -260,47 +261,8 @@ class TestLocks:
         p = make_problem(CTX, [(0, 5, 0, False), (0, 5, 0, False)],
                          [({0: 1, 1: 1}, NEG_INF, 3),
                           ({0: 1, 1: -1}, 1, INF)])
-        locks = Locks.compute(p)
-        assert locks.up == [1, 2]
-        assert locks.down == [1, 0]
-
-    def test_incremental_matches_recompute(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            p = Problem(CTX)
-            ncols = rng.randint(2, 5)
-            for _ in range(ncols):
-                p.add_col(0, 5, 0, integral=False)
-            for _ in range(rng.randint(1, 4)):
-                cols = rng.sample(range(ncols), rng.randint(1, ncols))
-                entries = {j: rng.choice([-2, 1]) for j in cols}
-                kind = rng.random()
-                if kind < 0.4:
-                    p.add_row(entries, NEG_INF, 5)
-                elif kind < 0.8:
-                    p.add_row(entries, -5, INF)
-                else:
-                    p.add_row(entries, -5, 5)
-            upd = ModelUpdate(p)
-            for _ in range(4):
-                act_rows = p.active_rows()
-                if not act_rows:
-                    break
-                op = rng.random()
-                if op < 0.4:
-                    i = rng.choice(act_rows)
-                    upd.mark_row_redundant(i, SETTER)
-                elif op < 0.7:
-                    i = rng.choice(act_rows)
-                    upd._set_side_raw(i, "rhs", INF, SETTER)
-                else:
-                    i = rng.choice(act_rows)
-                    if p.rows[i]:
-                        j = sorted(p.rows[i])[0]
-                        upd.change_coeff(i, j, 0, SETTER)
-                fresh = Locks.compute(p)
-                assert fresh.up == upd.locks.up
-                assert fresh.down == upd.locks.down
+        assert [_locked(p, j, up=True) for j in (0, 1)] == [True, True]
+        assert [_locked(p, j, up=False) for j in (0, 1)] == [True, False]
 
 
 class TestApplyChange:

@@ -41,7 +41,7 @@ def _held(txs):
 
 def fresh_view(problem):
     upd = ModelUpdate(problem.copy())
-    return upd, PresolveView(upd.problem, upd.activities, upd.locks)
+    return upd, PresolveView(upd.problem, upd.activities)
 
 
 def kinds(tx):
@@ -407,6 +407,26 @@ class TestDualFix:
         assert len(txs) == 1
         step = txs[0].steps[-1]
         assert step.col == 0 and step.value == 4  # 4 - min(y) = 4
+
+
+class TestDualFixAfterUpdates:
+    def test_blocking_rows_removed_through_model_update(self):
+        # min x: x + y >= 1 and -x + z <= 3 block x from moving down; the
+        # first loses its lhs and the second its entry of x, after which
+        # nothing blocks x and DualFix fixes it at its lower bound
+        p = make_problem(CTX, [(0, 4, 1, True), (0, 4, 0, True),
+                               (0, 4, 0, True)],
+                         [({0: 1, 1: 1}, 1, INF), ({0: -1, 2: 1}, NEG_INF, 3)])
+        upd, view = fresh_view(p)
+
+        def fixes():
+            return {t.steps[-1].col: t.steps[-1].value
+                    for t in runner("dualfix")(view)}
+        assert 0 not in fixes()
+        upd.change_lhs(0, NEG_INF, (0, "test"))
+        assert 0 not in fixes()
+        upd.change_coeff(1, 0, 0, (1, "test"))
+        assert fixes()[0] == 0
 
 
 class TestFixContinuous:
@@ -882,7 +902,7 @@ class TestProbing:
         p = make_problem(CTX, [(0, 1, 0, True), (0, 1, 0, True)],
                          [({0: 1, 1: 1}, 1, 1)])
         upd = ModelUpdate(p.copy())
-        view = PresolveView(upd.problem, upd.activities, upd.locks,
+        view = PresolveView(upd.problem, upd.activities,
                             changed_rows=set(), changed_cols=set())
         assert runner("probing")(view) == []
 
@@ -1018,7 +1038,7 @@ class TestReadOnlyDiscipline:
         for seed in range(10):
             p = random_mixed_mip(random.Random(seed))
             upd = ModelUpdate(p)
-            view = PresolveView(upd.problem, upd.activities, upd.locks)
+            view = PresolveView(upd.problem, upd.activities)
             before = p.stable_hash()
             fn = run_trivial if name == "trivial" else runner(name)
             try:
@@ -1035,7 +1055,7 @@ class TestFastTierLocality:
         for seed in range(10):
             p = random_small_mip(random.Random(seed))
             upd = ModelUpdate(p)
-            view = PresolveView(upd.problem, upd.activities, upd.locks,
+            view = PresolveView(upd.problem, upd.activities,
                                 changed_rows=set(), changed_cols=set())
             try:
                 assert runner(name)(view) == []
@@ -1053,7 +1073,7 @@ class TestFastTierLocality:
                       late_structure_mip(random.Random(seed)),
                       random_medium_mip(random.Random(seed), 60, 48)):
                 upd = ModelUpdate(p)
-                view = PresolveView(upd.problem, upd.activities, upd.locks,
+                view = PresolveView(upd.problem, upd.activities,
                                     changed_rows=set(), changed_cols=set())
                 assert runner(name)(view) == []
 
@@ -1064,7 +1084,7 @@ class TestPurity:
         for seed in range(6):
             p = random_mixed_mip(random.Random(100 + seed))
             upd = ModelUpdate(p)
-            view = PresolveView(upd.problem, upd.activities, upd.locks)
+            view = PresolveView(upd.problem, upd.activities)
             fn = run_trivial if name == "trivial" else runner(name)
             try:
                 first = fn(view)

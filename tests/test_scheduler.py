@@ -316,7 +316,7 @@ def _outcome(fn, view):
 
 
 def _full_view(view):
-    return PresolveView(view.problem, view.activities, view.locks,
+    return PresolveView(view.problem, view.activities,
                         workers=view.workers)
 
 

@@ -186,7 +186,7 @@ class TestConflictOrdering:
              ({0: 1, 1: 3, 2: 3}, NEG_INF, 4)])
 
     def _collect(self, upd):
-        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        view = PresolveView(upd.problem, upd.activities)
         return run_simplifyineq(view), run_substitution(view)
 
     def test_mandated_order_applies_both(self):
@@ -220,7 +220,7 @@ class TestParallelRowMerging:
     def test_single_transaction_leaves_one_row(self):
         p = self._problem()
         upd = ModelUpdate(p)
-        view = PresolveView(upd.problem, upd.activities, upd.locks)
+        view = PresolveView(upd.problem, upd.activities)
         txs = run_parallelrows(view)
         assert len(txs) == 1
         outcomes = apply_all(upd, txs)
