@@ -357,35 +357,26 @@ def _locked(p: Problem, j: int, up: bool) -> bool:
 
 def _worst_case_cap(view: PresolveView, j: int, upper: bool) -> Optional[Number]:
     """Safe fixing value for a zero-cost column with an infinite preferred
-    bound: the tightest bound every row still tolerates in the worst case."""
+    bound: the tightest bound every row still tolerates in the worst case.
+    With `upper` the column moves down freely and each row caps it from
+    above, otherwise from below.  A row caps it at its blocking side (rhs
+    when (a > 0) == upper, else lhs) less the others' largest activity
+    against an rhs or their smallest against an lhs."""
     p = view.problem
     act = view.activities
     best = p.col_upper[j] if upper else p.col_lower[j]
     lo, up = p.col_lower[j], p.col_upper[j]
     for i, a in sorted(p.cols[j].items()):
-        lhs, rhs = p.row_lhs[i], p.row_rhs[i]
-        if upper:
-            if a > 0 and is_finite(rhs):
-                res = max_residual(act.state[i], a, lo, up)
-                if not is_finite(res):
-                    return None
-                best = min(best, div(rhs - res, a))
-            elif a < 0 and is_finite(lhs):
-                res = max_residual(act.state[i], a, lo, up)
-                if not is_finite(res):
-                    return None
-                best = min(best, div(lhs - res, a))
-        else:
-            if a > 0 and is_finite(lhs):
-                res = min_residual(act.state[i], a, lo, up)
-                if not is_finite(res):
-                    return None
-                best = max(best, div(lhs - res, a))
-            elif a < 0 and is_finite(rhs):
-                res = min_residual(act.state[i], a, lo, up)
-                if not is_finite(res):
-                    return None
-                best = max(best, div(rhs - res, a))
+        on_rhs = (a > 0) == upper
+        side = p.row_rhs[i] if on_rhs else p.row_lhs[i]
+        if not is_finite(side):
+            continue
+        residual = max_residual if on_rhs else min_residual
+        res = residual(act.state[i], a, lo, up)
+        if not is_finite(res):
+            return None
+        v = div(side - res, a)
+        best = min(best, v) if upper else max(best, v)
     return best if is_finite(best) else None
 
 

@@ -429,6 +429,30 @@ class TestDualFixAfterUpdates:
         assert fixes()[0] == 0
 
 
+class TestDualFixWorstCaseCap:
+    """A negative coefficient caps a zero-cost column with an infinite
+    preferred bound through the side that blocks its free direction."""
+
+    def _fix(self, p):
+        _, view = fresh_view(p)
+        txs = runner("dualfix")(view)
+        return {t.steps[-1].col: t.steps[-1].value for t in txs}[0]
+
+    def test_negative_coefficient_against_rhs(self):
+        # x in [0, inf) integral, c = 0, -x + y <= 4, y in [3, 5]: at
+        # y = 5 the row needs x >= 1
+        p = make_problem(CTX, [(0, INF, 0, True), (3, 5, 0, False)],
+                         [({0: -1, 1: 1}, NEG_INF, 4)])
+        assert self._fix(p) == 1
+
+    def test_negative_coefficient_against_lhs(self):
+        # x in (-inf, 10], c = 0, -x + y >= 1, y in [3, 5]: at y = 3 the
+        # row needs x <= 2
+        p = make_problem(CTX, [(NEG_INF, 10, 0, False), (3, 5, 0, False)],
+                         [({0: -1, 1: 1}, 1, INF)])
+        assert self._fix(p) == 2
+
+
 class TestFixContinuous:
     def test_tiny_gap_fixed(self):
         p = make_problem(CTX, [(1 - 1e-9, 1, 1, False)], [])
