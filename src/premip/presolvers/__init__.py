@@ -18,53 +18,36 @@ from .medium import (run_simpleprobing, run_parallelrows, run_parallelcols,
 from .exhaustive import (run_implint, run_domcol, run_dualinfer, run_probing,
                          run_substitution, run_sparsify)
 
-_RUNNERS = {
-    "colsingleton": run_colsingleton,
-    "coefftightening": run_coefftightening,
-    "propagation": run_propagation,
-    "simpleprobing": run_simpleprobing,
-    "parallelrows": run_parallelrows,
-    "parallelcols": run_parallelcols,
-    "stuffing": run_stuffing,
-    "dualfix": run_dualfix,
-    "fixcontinuous": run_fixcontinuous,
-    "simplifyineq": run_simplifyineq,
-    "doubletoneq": run_doubletoneq,
-    "implint": run_implint,
-    "domcol": run_domcol,
-    "dualinfer": run_dualinfer,
-    "probing": run_probing,
-    "substitution": run_substitution,
-    "sparsify": run_sparsify,
-}
-
-_ORDERED = [
-    ("colsingleton", Tier.FAST, False),
-    ("coefftightening", Tier.FAST, False),
-    ("propagation", Tier.FAST, False),
-    ("simpleprobing", Tier.MEDIUM, False),
-    ("parallelrows", Tier.MEDIUM, False),
-    ("parallelcols", Tier.MEDIUM, False),
-    ("stuffing", Tier.MEDIUM, False),
-    ("dualfix", Tier.MEDIUM, False),
-    ("fixcontinuous", Tier.MEDIUM, False),
-    ("simplifyineq", Tier.MEDIUM, False),
-    ("doubletoneq", Tier.MEDIUM, False),
-    ("implint", Tier.EXHAUSTIVE, False),
-    ("domcol", Tier.EXHAUSTIVE, False),
-    ("dualinfer", Tier.EXHAUSTIVE, False),
-    ("probing", Tier.EXHAUSTIVE, False),
-    ("substitution", Tier.EXHAUSTIVE, False),
-    ("sparsify", Tier.EXHAUSTIVE, True),
+# (name, tier, delayed, run) in apply order
+_TABLE = [
+    ("colsingleton", Tier.FAST, False, run_colsingleton),
+    ("coefftightening", Tier.FAST, False, run_coefftightening),
+    ("propagation", Tier.FAST, False, run_propagation),
+    ("simpleprobing", Tier.MEDIUM, False, run_simpleprobing),
+    ("parallelrows", Tier.MEDIUM, False, run_parallelrows),
+    ("parallelcols", Tier.MEDIUM, False, run_parallelcols),
+    ("stuffing", Tier.MEDIUM, False, run_stuffing),
+    ("dualfix", Tier.MEDIUM, False, run_dualfix),
+    ("fixcontinuous", Tier.MEDIUM, False, run_fixcontinuous),
+    ("simplifyineq", Tier.MEDIUM, False, run_simplifyineq),
+    ("doubletoneq", Tier.MEDIUM, False, run_doubletoneq),
+    ("implint", Tier.EXHAUSTIVE, False, run_implint),
+    ("domcol", Tier.EXHAUSTIVE, False, run_domcol),
+    ("dualinfer", Tier.EXHAUSTIVE, False, run_dualinfer),
+    ("probing", Tier.EXHAUSTIVE, False, run_probing),
+    ("substitution", Tier.EXHAUSTIVE, False, run_substitution),
+    ("sparsify", Tier.EXHAUSTIVE, True, run_sparsify),
 ]
 
 REGISTRY: List[PresolverDescriptor] = [
     PresolverDescriptor(name=name, tier=tier, apply_order=order,
                         delayed=delayed)
-    for order, (name, tier, delayed) in enumerate(_ORDERED)
+    for order, (name, tier, delayed, _) in enumerate(_TABLE)
 ]
 
 PRESOLVER_NAMES = [d.name for d in REGISTRY]
+
+_RUNNERS = {name: run for name, _, _, run in _TABLE}
 
 
 def runner(name: str):
