@@ -12,8 +12,7 @@ do a bad or NaN literal, a repeated column name and bytes that are not
 UTF-8 in a solution file.  Infinite RHS, RANGES and BOUNDS values ('inf', 'infinity',
 signed or not, in any case) read as infinite in both number modes.
 Free-format data lines may start in column 1.
-Integral columns without BOUNDS entries get the modern default [0, +inf);
-pass legacy_integer_bounds=True for the historical [0, 1] default.
+Integral columns without BOUNDS entries get the default [0, +inf).
 """
 from __future__ import annotations
 
@@ -76,7 +75,6 @@ def _parse_number(ctx: NumericContext, tok: str, lineno: int) -> Number:
 
 
 def read_mps(path: str, ctx: Optional[NumericContext] = None,
-             legacy_integer_bounds: bool = False,
              warnings: Optional[List[str]] = None) -> Problem:
     ctx = ctx or NumericContext.float64()
     if warnings is None:
@@ -280,11 +278,6 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
     if obj_row is None:
         # at the ROWS header, or at ENDATA when there is none
         raise MpsError("no objective (N) row declared", rows_line or lineno)
-    if legacy_integer_bounds:
-        for j in range(problem.ncols):
-            if problem.col_integral[j] and j not in explicit_lower \
-                    and problem.col_upper[j] == INF:
-                problem.col_upper[j] = ctx.number(1)
 
     # transpose once; columns in increasing j give each row its key order
     # (add_row drops the zeros)

@@ -131,15 +131,12 @@ class TestReader:
         assert got["RE1"] == (5.0, 7.0)
         assert got["RE2"] == (3.0, 5.0)
 
-    def test_integral_default_bounds_modern_vs_legacy(self, tmp_path):
+    def test_integral_default_bounds(self, tmp_path):
         text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n"
                 "    M 'MARKER' 'INTORG'\n X R1 1\n"
                 "    M 'MARKER' 'INTEND'\nRHS\nENDATA\n")
-        path = write_tmp(tmp_path, text)
-        modern = read_mps(path, CTX)
-        assert modern.col_lower[0] == 0 and modern.col_upper[0] == INF
-        legacy = read_mps(path, CTX, legacy_integer_bounds=True)
-        assert legacy.col_upper[0] == 1
+        p = read_mps(write_tmp(tmp_path, text), CTX)
+        assert p.col_lower[0] == 0 and p.col_upper[0] == INF
 
     def test_bound_types(self, tmp_path):
         text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n"
