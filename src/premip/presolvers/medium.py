@@ -14,8 +14,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..model import InfeasibleError, Problem, UnboundedError
-from ..numerics import (INF, Number, affine_range, bound_improves_lower,
-                        bound_improves_upper, div, is_finite, quotient_range)
+from ..numerics import (INF, NEG_INF, Number, affine_range,
+                        bound_improves_lower, bound_improves_upper, div,
+                        is_finite, quotient_range)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
 from .common import (PresolveView, coeff_gcd, has_units, integral_coeffs,
@@ -351,8 +352,11 @@ def _locked(p: Problem, j: int, up: bool) -> bool:
     An entry a > 0 blocks up at a finite rhs and down at a finite lhs; an
     entry a < 0 blocks the mirror directions.  Stops at the first blocking
     row."""
-    return any(is_finite(p.row_rhs[i] if (a > 0) == up else p.row_lhs[i])
-               for i, a in p.cols[j].items())
+    lhs, rhs = p.row_lhs, p.row_rhs
+    for i, a in p.cols[j].items():
+        if NEG_INF < (rhs[i] if (a > 0) == up else lhs[i]) < INF:
+            return True
+    return False
 
 
 def _worst_case_cap(view: PresolveView, j: int, upper: bool) -> Optional[Number]:
