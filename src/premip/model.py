@@ -466,8 +466,7 @@ class ModelUpdate:
 
     Every change goes through one of the methods below, which keep the
     matrix views, activities, flags, journal, counters and the postsolve
-    record consistent.  Methods return True when they changed
-    anything.
+    record consistent.  Methods return True when they changed anything.
     """
 
     def __init__(self, problem: Problem, stats=None,
