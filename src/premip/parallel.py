@@ -45,27 +45,31 @@ def _call(item):
 def fork_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
     """Apply fn to every item, preserving order.
 
-    Runs sequentially unless more than one worker is requested, more than
-    one item exists, and fork is available.  Otherwise a pool of
-    min(workers, len(items), usable_cpus()) processes runs the items.
-    fn may be any callable, a closure included: it is stored before the
-    pool forks, so the workers inherit it and only the items and the
-    results are pickled.
+    Runs in-process unless fork is available and a pool of min(workers,
+    len(items), usable_cpus()) processes would hold more than one.  fn may
+    be any callable, a closure included: it is stored before the pool
+    forks, so the workers inherit it and only the items and the results
+    are pickled.
+
+    The collector is off while the pool exists, and the workers inherit it
+    off: a collection in a worker would write to the header of every
+    inherited object and so copy the parent's heap page by page.  The
+    caller's collector state and frozen objects are left as they were.
     """
     global _FN
-    if workers <= 1 or len(items) <= 1 or not fork_available():
+    processes = min(workers, len(items), usable_cpus())
+    if processes <= 1 or not fork_available():
         return [fn(it) for it in items]
     ctx = multiprocessing.get_context("fork")
     _FN = fn
-    # a full collection in a child would write to the header of every
-    # inherited object and so copy the parent's heap page by page; frozen
-    # objects are never collected
-    gc.freeze()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with ctx.Pool(min(workers, len(items), usable_cpus())) as pool:
+        with ctx.Pool(processes) as pool:
             return pool.map(_call, items, chunksize=1)
     finally:
-        gc.unfreeze()
+        if enabled:
+            gc.enable()
         _FN = None
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..model import Problem, RowActivities
 from ..numerics import (INF, NEG_INF, Mode, Number, NumericContext, div,
@@ -80,6 +80,28 @@ RunFn = Callable[[PresolveView], List[Transaction]]
 
 # ---------------------------------------------------------------------------
 # helpers shared by several presolvers
+
+
+def _support_buckets(view: PresolveView, lines, cross, scan: List[int],
+                     min_len: int) -> Dict[tuple, List[int]]:
+    """Indices of lines (p.rows or p.cols) with at least min_len entries,
+    grouped by support, each bucket ascending.  A fresh call groups every
+    scanned line; a later call builds only the buckets of the scanned lines,
+    reading each from the cross index (p.cols or p.rows) at its support's
+    first entry, which every line of that support appears in."""
+    fresh = view.is_fresh()
+    buckets: Dict[tuple, List[int]] = {}
+    for i in scan:
+        support = tuple(sorted(lines[i]))
+        if len(support) < min_len:
+            continue
+        if fresh:
+            buckets.setdefault(support, []).append(i)
+        elif support not in buckets:
+            keys = lines[i].keys()
+            buckets[support] = sorted(k for k in cross[support[0]]
+                                      if lines[k].keys() == keys)
+    return buckets
 
 
 def integral_coeffs(ctx: NumericContext,

@@ -1,13 +1,17 @@
 """Exhaustive presolvers; Probing, DomCol and Sparsify fan their iteration
 space out to forked workers when the instance is big enough to pay for it.
 ImplInt and Substitution scan only the changed rows after their first call,
-as the medium presolvers do; DomCol, DualInfer and Sparsify scan everything
-on every call.
+as the medium presolvers do, and DomCol rebuilds only the support buckets
+of the columns it scans, as ParallelCols does.  DualInfer and Sparsify
+scan everything on every call: a dual bound, or a target row, depends on
+rows the journal does not list next to the scanned item.
 
-Each worker turns its chunk into transactions, so only transactions come
-back to the parent.  The chunk functions are closures over the view and,
-for probing, over the call's row cache and workspace; `fork_map` hands
-them to workers that inherit them, so no module global carries them.
+`_fan_out` maps one function per item, a DomCol group, a probing
+candidate or a Sparsify equation, and each worker turns its chunk into
+transactions, so only transactions come back to the parent.  The
+functions are closures over the view and, for probing, over the call's
+row cache and workspace; `fork_map` hands them to workers that inherit
+them, so no module global carries them.
 
 Probing's first call probes every active binary, in one fan-out.  A later
 call orders its candidates with the binaries changed since the previous
@@ -48,7 +52,7 @@ bound.  It gives a coupling only when those global bounds are approx_eq
 without being equal, so such columns are kept too."""
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..model import InfeasibleError, add_shares, move_shares
 from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
@@ -56,8 +60,9 @@ from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
 from ..parallel import chunk_evenly, fork_map
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import (PresolveView, finite_side, implied_bounds,
-                     screen_rtol, screen_threshold, slack_need)
+from .common import (PresolveView, _support_buckets, finite_side,
+                     implied_bounds, screen_rtol, screen_threshold,
+                     slack_need)
 
 # candidates a probing call that is not its first probes between two
 # checks for progress; a batch that yields nothing ends the call
@@ -70,18 +75,37 @@ DOMCOL_PARALLEL_MIN_GROUPS = 512
 SPARSIFY_PARALLEL_MIN_EQS = 512
 
 
-def _fan_out(view: PresolveView, chunk_fn, items: list,
+def _fan_out(view: PresolveView, fn: Callable[[Any], list], items: list,
              big_enough: bool) -> list:
-    """chunk_fn's results over items, in item order.  When big_enough,
+    """The lists fn(item) gives, joined in item order.  When big_enough,
     splits items into 4 * view.workers contiguous chunks and hands them to
     fork_map, which runs them on at most view.workers processes and never
     more than the usable CPUs; else runs in-process.  The chunks follow
-    view.workers alone, so the output does not depend on the host."""
+    view.workers alone, so the output does not depend on the host.
+
+    A chunk stops at the first item whose fn raises InfeasibleError and
+    returns the error in its place; the first error in item order is
+    raised, so which one does not depend on the chunking either."""
+    def chunk(part: list) -> list:
+        out: list = []
+        try:
+            for item in part:
+                out.extend(fn(item))
+        except InfeasibleError as err:
+            out.append(err)
+        return out
+
     if view.workers > 1 and big_enough:
-        chunks = chunk_evenly(items, 4 * view.workers)
-        parts = fork_map(chunk_fn, chunks, view.workers)
-        return [r for part in parts for r in part]
-    return chunk_fn(items)
+        parts = fork_map(chunk, chunk_evenly(items, 4 * view.workers),
+                         view.workers)
+    else:
+        parts = [chunk(items)]
+    found: list = []
+    for part in parts:
+        if part and isinstance(part[-1], InfeasibleError):
+            raise part[-1]
+        found.extend(part)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +201,15 @@ def _domcol_fix(view, support, dom, sub) -> Optional[Transaction]:
 
 
 def run_domcol(view: PresolveView) -> List[Transaction]:
-    """Detect dominated columns among columns with equal support."""
+    """Detect dominated columns among columns with equal support.  A group
+    with no scanned column found nothing in the previous call: an applied
+    transaction of it would have changed one of its columns, and an
+    unapplied one lists them in this view."""
     p = view.problem
-    buckets: Dict[tuple, List[int]] = {}
-    for j in p.active_cols():
-        entries = p.col_entries(j)
-        if not entries:
-            continue
-        buckets.setdefault(tuple(i for i, _ in entries), []).append(j)
+    buckets = _support_buckets(view, p.cols, p.rows, view.scan_cols(), 1)
     groups = [(s, cols) for s, cols in sorted(buckets.items())
               if len(cols) >= 2]
-    if not groups:
-        return []
-
-    def domcol_chunk(chunk) -> List[Transaction]:
-        return [tx for support, cols in chunk
-                for tx in _domcol_group(view, support, cols)]
-
-    return _fan_out(view, domcol_chunk, groups,
+    return _fan_out(view, lambda group: _domcol_group(view, *group), groups,
                     len(groups) >= DOMCOL_PARALLEL_MIN_GROUPS)
 
 
@@ -435,10 +450,13 @@ def _probe_propagate(view: PresolveView, rows: Dict[int, tuple], k: int,
 
 def _probe_merge(view: PresolveView, k: int, res0: Optional[dict],
                  res1: Optional[dict]) -> List[Transaction]:
-    """Transactions from probing k's two branches, at least one feasible:
-    fixings, global bounds and affine couplings."""
+    """Transactions from probing k's two branches: fixings, global bounds
+    and affine couplings.  Both branches infeasible raise InfeasibleError."""
     p = view.problem
     ctx = view.ctx
+    if res0 is None and res1 is None:
+        raise InfeasibleError(
+            f"probing {p.col_names[k]}: both branches infeasible")
     if res0 is None:
         return [Transaction("probing", [ReductionStep(
             StepKind.FIX_COLUMN, col=k, value=ctx.number(1))])]
@@ -482,24 +500,6 @@ def _probe_merge(view: PresolveView, k: int, res0: Optional[dict],
         + aggregations
 
 
-def _probe_chunk(view: PresolveView, rows: Dict[int, tuple], ws: tuple,
-                 candidates: List[int]) -> list:
-    """The candidates' transactions in order, with the call's row cache
-    and workspace.  A candidate whose two branches are both infeasible
-    ends the chunk with an InfeasibleError, which run_probing raises."""
-    out: list = []
-    for k in candidates:
-        res0 = _probe_propagate(view, rows, k, 0, ws)
-        res1 = _probe_propagate(view, rows, k, 1, ws)
-        if res0 is None and res1 is None:
-            out.append(InfeasibleError(
-                f"probing {view.problem.col_names[k]}: both branches "
-                f"infeasible"))
-            break
-        out.extend(_probe_merge(view, k, res0, res1))
-    return out
-
-
 def run_probing(view: PresolveView) -> List[Transaction]:
     """Probe binary columns to 0 and 1; derive fixings, global bounds and
     affine couplings from the two propagation branches.
@@ -529,19 +529,15 @@ def run_probing(view: PresolveView) -> List[Transaction]:
     rows: Dict[int, tuple] = {}
     ws = _workspace(p)
 
-    def probe_chunk(candidates: List[int]) -> list:
-        return _probe_chunk(view, rows, ws, candidates)
+    def probe(k: int) -> List[Transaction]:
+        return _probe_merge(view, k, _probe_propagate(view, rows, k, 0, ws),
+                            _probe_propagate(view, rows, k, 1, ws))
 
     txs: List[Transaction] = []
     for batch in batches:
-        found = _fan_out(view, probe_chunk, batch,
+        found = _fan_out(view, probe, batch,
                          len(batch) >= PROBING_PARALLEL_MIN_CANDIDATES
                          and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
-        # chunks are contiguous, so the first error is the first
-        # candidate's
-        for tx in found:
-            if isinstance(tx, InfeasibleError):
-                raise tx
         if not found:
             break
         txs.extend(found)
@@ -652,11 +648,5 @@ def run_sparsify(view: PresolveView) -> List[Transaction]:
     p = view.problem
     eqs = [i for i in p.active_rows()
            if p.is_equation(i) and len(p.rows[i]) >= 2]
-    if not eqs:
-        return []
-
-    def sparsify_chunk(chunk: List[int]) -> List[Transaction]:
-        return [tx for e in chunk for tx in _sparsify_equation(view, e)]
-
-    return _fan_out(view, sparsify_chunk, eqs,
+    return _fan_out(view, lambda e: _sparsify_equation(view, e), eqs,
                     len(eqs) >= SPARSIFY_PARALLEL_MIN_EQS)

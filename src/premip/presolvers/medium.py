@@ -7,11 +7,12 @@ and the columns of listed rows, and the rows and columns of its own
 transactions that were not applied.  Each reduction reads one row or
 column and the entries, bounds, costs, sides and activities next to it;
 a change to any of those lists that row or column.  ParallelRows and
-ParallelCols rebuild only the support buckets of the lines they scan.
+ParallelCols rebuild only the support buckets of the lines they scan,
+with `common._support_buckets`, which DomCol shares.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..model import InfeasibleError, Problem, UnboundedError
 from ..numerics import (INF, NEG_INF, Number, affine_range,
@@ -19,8 +20,8 @@ from ..numerics import (INF, NEG_INF, Number, affine_range,
                         is_finite, quotient_range)
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
-from .common import (PresolveView, coeff_gcd, has_units, integral_coeffs,
-                     max_residual, min_residual)
+from .common import (PresolveView, _support_buckets, coeff_gcd, has_units,
+                     integral_coeffs, max_residual, min_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -85,28 +86,6 @@ def run_simpleprobing(view: PresolveView) -> List[Transaction]:
 
 # ---------------------------------------------------------------------------
 # ParallelRows
-
-
-def _support_buckets(view: PresolveView, lines, cross, scan: List[int],
-                     min_len: int) -> Dict[tuple, List[int]]:
-    """Indices of lines (p.rows or p.cols) with at least min_len entries,
-    grouped by support, each bucket ascending.  A fresh call groups every
-    scanned line; a later call builds only the buckets of the scanned lines,
-    reading each from the cross index (p.cols or p.rows) at its support's
-    first entry, which every line of that support appears in."""
-    fresh = view.is_fresh()
-    buckets: Dict[tuple, List[int]] = {}
-    for i in scan:
-        support = tuple(sorted(lines[i]))
-        if len(support) < min_len:
-            continue
-        if fresh:
-            buckets.setdefault(support, []).append(i)
-        elif support not in buckets:
-            keys = lines[i].keys()
-            buckets[support] = sorted(k for k in cross[support[0]]
-                                      if lines[k].keys() == keys)
-    return buckets
 
 
 def _parallel_classes(ctx, lines: List[int],

@@ -823,13 +823,16 @@ class TestFanOut:
                      "DOMCOL_PARALLEL_MIN_GROUPS",
                      "SPARSIFY_PARALLEL_MIN_EQS"):
             monkeypatch.setattr(exhaustive, name, 0)
-        forked = []
+        # every fork gets _fan_out's one chunk function, so a fork is
+        # told apart by the runner call it happens in
+        forks = []
 
-        def recording_fork_map(fn, items, workers):
-            forked.append((fn.__name__, workers))
+        def counting_fork_map(fn, items, workers):
+            forks.append(workers)
             return fork_map(fn, items, workers)
 
-        monkeypatch.setattr(exhaustive, "fork_map", recording_fork_map)
+        monkeypatch.setattr(exhaustive, "fork_map", counting_fork_map)
+        forked = set()
         found = dict.fromkeys(self.PRESOLVERS, 0)
         # wide instances give domcol equal supports, tall ones give
         # sparsify overlapping equations
@@ -840,27 +843,43 @@ class TestFanOut:
                     random.Random(seed))
                 upd = ModelUpdate(p)
                 for name in self.PRESOLVERS:
-                    txs = {workers: runner(name)(PresolveView(
-                        upd.problem, upd.activities,
-                        workers=workers)) for workers in (1, 2, 3)}
+                    txs = {}
+                    for workers in (1, 2, 3):
+                        forks.clear()
+                        txs[workers] = runner(name)(PresolveView(
+                            upd.problem, upd.activities, workers=workers))
+                        if forks:
+                            forked.add((name, workers))
                     assert repr(txs[2]) == repr(txs[1]), (name, ncols, seed)
                     assert repr(txs[3]) == repr(txs[1]), (name, ncols, seed)
                     found[name] += len(txs[1])
         assert all(found.values()), found
-        for chunk_fn in ("domcol_chunk", "probe_chunk", "sparsify_chunk"):
-            for workers in (2, 3):
-                assert (chunk_fn, workers) in forked
+        assert forked == {(name, workers) for name in self.PRESOLVERS
+                          for workers in (2, 3)}
 
 
-def _frozen_in_worker(_):
-    return gc.get_freeze_count()
+def _gc_in_worker(_):
+    return gc.isenabled()
 
 
-def test_forked_workers_inherit_a_frozen_heap():
-    """Workers see the parent's objects frozen, so their collections leave
-    the shared pages alone; the parent's heap is unfrozen afterwards."""
-    assert all(n > 0 for n in fork_map(_frozen_in_worker, [0, 1, 2], 2))
-    assert gc.get_freeze_count() == 0
+def test_fork_map_keeps_the_callers_collector_state():
+    """Workers run with the collector off, so their collections leave the
+    shared pages alone; the caller's frozen objects and collector state
+    are as they were before the call, whatever they were."""
+    enabled = gc.isenabled()
+    try:
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            for frozen in (False, True):
+                (gc.freeze if frozen else gc.unfreeze)()
+                before = gc.get_freeze_count()
+                assert (before > 0) == frozen
+                assert fork_map(_gc_in_worker, [0, 1, 2], 2) == [False] * 3
+                assert gc.get_freeze_count() == before
+                assert gc.isenabled() == collecting
+                gc.unfreeze()
+    finally:
+        (gc.enable if enabled else gc.disable)()
     # a closure reaches the workers too: they inherit it
     base = [os.getpid()]
     assert fork_map(lambda k: (base[0], k), [0, 1, 2], 2) == [
@@ -872,7 +891,8 @@ def _pid(_):
 
 
 def test_pool_capped_at_the_usable_cpus(monkeypatch):
-    """fork_map opens min(workers, items, usable CPUs) processes."""
+    """fork_map opens min(workers, items, usable CPUs) processes, and no
+    pool when that is one."""
     sizes = []
     fork_ctx = type(multiprocessing.get_context("fork"))
     pool = fork_ctx.Pool
@@ -889,6 +909,11 @@ def test_pool_capped_at_the_usable_cpus(monkeypatch):
     fork_map(_pid, range(12), 3)
     fork_map(_pid, range(2), 4)
     assert sizes == [2, 3, 2]
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert fork_map(_pid, range(12), 2) == [os.getpid()] * 12
+    assert fork_map(lambda k: k * k, range(12), 2) == [
+        k * k for k in range(12)]
+    assert sizes == [2, 3, 2]
 
 
 @pytest.fixture
@@ -897,9 +922,9 @@ def fanned_out(monkeypatch):
     calls = []
     fan_out = exhaustive._fan_out
 
-    def recording_fan_out(view, chunk_fn, items, big_enough):
+    def recording_fan_out(view, fn, items, big_enough):
         calls.append((view.workers, list(items)))
-        return fan_out(view, chunk_fn, items, big_enough)
+        return fan_out(view, fn, items, big_enough)
 
     monkeypatch.setattr(exhaustive, "_fan_out", recording_fan_out)
     return calls

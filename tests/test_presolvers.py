@@ -788,6 +788,23 @@ class TestDomCol:
         assert step.kind is StepKind.FIX_COLUMN
         assert step.col == 1 and step.value == 0
 
+    def test_later_call_groups_only_the_listed_supports(self):
+        """A later call groups the supports of the columns the change sets
+        list, directly or through a listed row, and nothing else."""
+        p = make_problem(CTX, [(0, INF, -2, False), (0, 5, -1, False)],
+                         [({0: 1, 1: 1}, NEG_INF, 1)])
+        upd, view = fresh_view(p)
+        fresh = runner("domcol")(view)
+
+        def later(rows, cols):
+            return runner("domcol")(PresolveView(
+                upd.problem, upd.activities, changed_rows=rows,
+                changed_cols=cols))
+
+        assert later(set(), set()) == []
+        assert repr(later(set(), {0})) == repr(fresh)
+        assert repr(later({0}, set())) == repr(fresh)
+
     def test_bounded_headroom_stays_conservative(self):
         # with both headrooms finite no fixing claim is made, so the full
         # presolve keeps the strengthened knapsack row intact

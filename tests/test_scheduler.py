@@ -377,9 +377,38 @@ class TestIncrementalTrivial:
         assert res.problem.col_lower[2] == 0
 
 
+def equal_support_mip(rng: random.Random) -> Problem:
+    """Groups of columns that share a support of one to four rows, so
+    that DomCol compares them.  A column open above has a nonnegative cost,
+    so the objective stays bounded below."""
+    p = Problem(CTX)
+    nrows = rng.randint(8, 25)
+    rows = [{} for _ in range(nrows)]
+    for _ in range(rng.randint(5, 20)):
+        support = rng.sample(range(nrows), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 4)):
+            c = rng.randint(-5, 5)
+            up = INF if c >= 0 and rng.random() < 0.5 else rng.randint(1, 10)
+            lo = 0 if rng.random() < 0.9 else -rng.randint(0, 3)
+            j = p.add_col(lo, up, c, rng.random() < 0.4)
+            for i in support:
+                rows[i][j] = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+    for entries in rows:
+        if not entries:
+            continue
+        kind, b = rng.random(), rng.randint(-5, 20)
+        if kind < 0.6:
+            p.add_row(entries, NEG_INF, b)
+        elif kind < 0.85:
+            p.add_row(entries, b - 10, INF)
+        else:
+            p.add_row(entries, b, b)
+    return p
+
+
 JOURNAL_DRIVEN = ("simpleprobing", "parallelrows", "parallelcols", "stuffing",
                   "dualfix", "fixcontinuous", "simplifyineq", "doubletoneq",
-                  "implint", "substitution")
+                  "implint", "domcol", "substitution")
 
 
 class TestJournalDrivenScans:
@@ -436,3 +465,10 @@ class TestJournalDrivenScans:
         for name in ("parallelrows", "parallelcols", "stuffing",
                      "doubletoneq"):
             assert found.get(name, 0) > 0, name
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_equal_supports_match_full_scan(self, monkeypatch, rational):
+        corpus = [equal_support_mip(random.Random(seed))
+                  for seed in range(150)]
+        found = self._run_checked(monkeypatch, corpus, rational)
+        assert found.get("domcol", 0) > 0
