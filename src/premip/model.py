@@ -368,11 +368,6 @@ class ModificationFlags:
         self.row_gone.clear()
         self.col_gone.clear()
 
-    @staticmethod
-    def _mark(d: Dict[int, Setter], idx: int, setter: Setter) -> None:
-        if idx not in d:
-            d[idx] = setter
-
 
 # ---------------------------------------------------------------------------
 # postsolve record entries (applied-change log, replayable forward)
@@ -527,7 +522,7 @@ class ModelUpdate:
         if sides[i] == v:
             return False
         sides[i] = v
-        self.flags._mark(self.flags.row_bounds, i, setter)
+        self.flags.row_bounds.setdefault(i, setter)
         self._touch_row(i)
         return True
 
@@ -572,7 +567,7 @@ class ModelUpdate:
         p.col_lower[j], p.col_upper[j] = new_lo, new_up
         for i in p.cols[j]:
             self._touch_row(i)
-        self.flags._mark(self.flags.col_bounds, j, setter)
+        self.flags.col_bounds.setdefault(j, setter)
         self._touch_col(j)
         return True
 
@@ -603,7 +598,7 @@ class ModelUpdate:
         self._set_side_raw(i, "lhs", lhs, setter)
         self._set_side_raw(i, "rhs", rhs, setter)
         self._check_sides(i)
-        self.flags._mark(self.flags.row_coeffs, i, setter)
+        self.flags.row_coeffs.setdefault(i, setter)
         self._touch_row(i)
 
     def _shift_sides(self, i: int, shift: Number, setter: Setter) -> None:
@@ -616,8 +611,8 @@ class ModelUpdate:
     def _retire_col(self, j: int, state: ColState, setter: Setter) -> None:
         """Take column j, whose entries are gone, out of the problem."""
         self.problem.col_state[j] = state
-        self.flags._mark(self.flags.col_bounds, j, setter)
-        self.flags._mark(self.flags.col_gone, j, setter)
+        self.flags.col_bounds.setdefault(j, setter)
+        self.flags.col_gone.setdefault(j, setter)
         self._touch_col(j)
         self._stat("deleted_cols")
 
@@ -670,7 +665,7 @@ class ModelUpdate:
             self._remove_entry(i, j)
         else:
             self._put_entry(i, j, v)
-        self.flags._mark(self.flags.row_coeffs, i, setter)
+        self.flags.row_coeffs.setdefault(i, setter)
         self._touch_row(i)
         self._touch_col(j)
         self._stat("coeff_changes")
@@ -706,9 +701,9 @@ class ModelUpdate:
             self._touch_col(j)
         p.rows[i].clear()
         p.row_active[i] = False
-        self.flags._mark(self.flags.row_coeffs, i, setter)
-        self.flags._mark(self.flags.row_bounds, i, setter)
-        self.flags._mark(self.flags.row_gone, i, setter)
+        self.flags.row_coeffs.setdefault(i, setter)
+        self.flags.row_bounds.setdefault(i, setter)
+        self.flags.row_gone.setdefault(i, setter)
         self._touch_row(i)
         self._stat("deleted_rows")
         self.record.append(RedundantRowEntry(i))
@@ -815,7 +810,7 @@ class ModelUpdate:
             self.change_upper(k, imp_up, setter)
         self._retire_col(j, ColState.SUBSTITUTED, setter)
         # the receiving column's role changed even if its bounds did not
-        self.flags._mark(self.flags.col_bounds, k, setter)
+        self.flags.col_bounds.setdefault(k, setter)
         self._touch_col(k)
         return True
 
@@ -829,7 +824,7 @@ class ModelUpdate:
         self.record.append(FreeSingletonEntry(j, i, a, rest, lhs, rhs, lo, up))
         self._remove_entry(i, j)
         self._rewrite_sides(i, *affine_range(lhs, rhs, -a, lo, up), setter)
-        self.flags._mark(self.flags.row_bounds, i, setter)
+        self.flags.row_bounds.setdefault(i, setter)
         self._retire_col(j, ColState.INACTIVE, setter)
         self._settle_defining_row(i, setter)
         return True
@@ -844,7 +839,7 @@ class ModelUpdate:
                                           lo_k, up_k, lo_g, up_g))
         for r in sorted(p.cols[gone]):
             self._remove_entry(r, gone)
-            self.flags._mark(self.flags.row_coeffs, r, setter)
+            self.flags.row_coeffs.setdefault(r, setter)
             self._touch_row(r)
         p.obj[gone] = self.ctx.number(0)
         # merged bounds: y = x_kept + scale * x_gone
@@ -852,7 +847,7 @@ class ModelUpdate:
         self._set_col_bound_raw(kept, "lower", new_lo, setter)
         self._set_col_bound_raw(kept, "upper", new_up, setter)
         self._retire_col(gone, ColState.SUBSTITUTED, setter)
-        self.flags._mark(self.flags.col_bounds, kept, setter)
+        self.flags.col_bounds.setdefault(kept, setter)
         self._touch_col(kept)
         return True
 

@@ -12,7 +12,8 @@ do a bad or NaN literal, a repeated column name and bytes that are not
 UTF-8 in a solution file.  Infinite RHS, RANGES and BOUNDS values ('inf', 'infinity',
 signed or not, in any case) read as infinite in both number modes.
 Free-format data lines may start in column 1.
-Integral columns without BOUNDS entries get the default [0, +inf).
+Integral columns without BOUNDS entries get the default [0, +inf), and an
+LI or UI bound makes its column integral, as a BV bound does.
 """
 from __future__ import annotations
 
@@ -264,9 +265,11 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                     explicit_lower.add(j)
                 elif btype == "LI":
                     problem.col_lower[j] = val
+                    problem.col_integral[j] = True
                     explicit_lower.add(j)
                 elif btype == "UI":
                     problem.col_upper[j] = val
+                    problem.col_integral[j] = True
                 else:
                     raise MpsError(f"unsupported bound type {btype!r}", lineno)
             else:  # pragma: no cover

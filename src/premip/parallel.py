@@ -1,13 +1,12 @@
 """Deterministic process-based fan-out for internally parallel presolvers.
 
 Workers are forked so they inherit the current problem snapshot without
-serialization; each task returns a picklable result and results are always
-gathered in task order, so the output is identical to a sequential run.
-Small work loads fall back to in-process execution because fork/IPC
-overhead would dominate.  A pool never has more processes than the CPUs
-this process may run on: more would only take turns on them.  The callers
-chunk by the worker count they were asked for, not by the pool size, so
-the cap changes no output.
+serialization; each item's result is picklable, and the results are
+always gathered in item order, so the output is identical to a
+sequential run whatever the pool size or its chunking.  The callers keep
+small work loads in-process, where fork/IPC overhead would dominate.  A
+pool never has more processes than the CPUs this process may run on:
+more would only take turns on them.
 """
 from __future__ import annotations
 
@@ -46,10 +45,11 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
     """Apply fn to every item, preserving order.
 
     Runs in-process unless fork is available and a pool of min(workers,
-    len(items), usable_cpus()) processes would hold more than one.  fn may
-    be any callable, a closure included: it is stored before the pool
-    forks, so the workers inherit it and only the items and the results
-    are pickled.
+    len(items), usable_cpus()) processes would hold more than one.  The
+    pool hands the items out with `Pool.map`'s default chunking, about
+    four chunks per process.  fn may be any callable, a closure included:
+    it is stored before the pool forks, so the workers inherit it and only
+    the items and the results are pickled.
 
     The collector is off while the pool exists, and the workers inherit it
     off: a collection in a worker would write to the header of every
@@ -66,22 +66,9 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
     gc.disable()
     try:
         with ctx.Pool(processes) as pool:
-            return pool.map(_call, items, chunksize=1)
+            return pool.map(_call, items)
     finally:
         if enabled:
             gc.enable()
         _FN = None
 
-
-def chunk_evenly(items: Sequence[T], parts: int) -> List[List[T]]:
-    """Split into at most `parts` contiguous chunks of near-equal size."""
-    n = len(items)
-    parts = max(1, min(parts, n))
-    out = []
-    base, extra = divmod(n, parts)
-    start = 0
-    for p in range(parts):
-        size = base + (1 if p < extra else 0)
-        out.append(list(items[start:start + size]))
-        start += size
-    return out

@@ -66,7 +66,8 @@ def postsolve_primal(record: PostsolveRecord,
         return values[j]
 
     def check_domain(j, v, lb, ub, idx):
-        if not (ctx.feas_leq(lb, v) and ctx.feas_leq(v, ub)):
+        if not (is_finite(v) and ctx.feas_leq(lb, v)
+                and ctx.feas_leq(v, ub)):
             raise PostsolveError(
                 f"column {j} value {v} violates its bounds [{lb}, {ub}]", idx)
 
@@ -111,13 +112,19 @@ def postsolve_primal(record: PostsolveRecord,
             lo_cap, up_cap = affine_range(y, y, -s, e.gone_lb, e.gone_ub)
             hi = min(e.kept_ub, up_cap)
             lo = min(max(e.kept_lb, lo_cap), hi)
+            # split at a finite end of x's range, hi if it is finite, else
+            # lo; with both infinite both columns are free, and x = y
+            # gives g = 0
+            end, down = ((hi, True) if is_finite(hi) else
+                         (lo, False) if is_finite(lo) else (y, True))
             if ctx.is_integral(s) and abs(s) > 1:
-                # step down to the nearest split point divisible by the scale
-                q = div(y - hi, s)
-                steps = math.ceil(q) if s > 0 else math.floor(q)
+                # step from that end into the range, to the nearest split
+                # point divisible by the scale
+                q = div(y - end, s)
+                steps = math.ceil(q) if (s > 0) == down else math.floor(q)
                 x = y - s * ctx.number(steps)
             else:
-                x = hi
+                x = end
             g = div(y - x, s)
             check_domain(e.kept, x, e.kept_lb, e.kept_ub, idx)
             check_domain(e.gone, g, e.gone_lb, e.gone_ub, idx)

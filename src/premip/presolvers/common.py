@@ -57,7 +57,7 @@ class PresolveView:
             return p.active_rows()
         rows = set(self.changed_rows or ())
         for j in (self.changed_cols or ()):
-            if p.col_state[j].value == "active":
+            if p.col_is_active(j):
                 rows.update(p.cols[j].keys())
         return sorted(i for i in rows if i < p.nrows and p.row_is_active(i))
 

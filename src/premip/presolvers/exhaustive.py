@@ -1,17 +1,19 @@
 """Exhaustive presolvers; Probing, DomCol and Sparsify fan their iteration
-space out to forked workers when the instance is big enough to pay for it.
-ImplInt and Substitution scan only the changed rows after their first call,
-as the medium presolvers do, and DomCol rebuilds only the support buckets
-of the columns it scans, as ParallelCols does.  DualInfer and Sparsify
-scan everything on every call: a dual bound, or a target row, depends on
-rows the journal does not list next to the scanned item.
+space out to forked workers when a call has more than one worker and at
+least FORK_MIN_ITEMS items, the one gate of all three.  ImplInt and
+Substitution scan only the changed rows after their first call, as the
+medium presolvers do, and DomCol rebuilds only the support buckets of the
+columns it scans, as ParallelCols does.  DualInfer and Sparsify scan
+everything on every call: a dual bound, or a target row, depends on rows
+the journal does not list next to the scanned item.
 
 `_fan_out` maps one function per item, a DomCol group, a probing
-candidate or a Sparsify equation, and each worker turns its chunk into
-transactions, so only transactions come back to the parent.  The
-functions are closures over the view and, for probing, over the call's
-row cache and workspace; `fork_map` hands them to workers that inherit
-them, so no module global carries them.
+candidate or a Sparsify equation, and each worker turns its items into
+transactions, so only transactions come back to the parent; the pool's
+own chunking groups the items.  The functions are closures over the view
+and, for probing, over the call's row cache and workspace; `fork_map`
+hands them to workers that inherit them, so no module global carries
+them.
 
 Probing's first call probes every active binary, in one fan-out.  A later
 call orders its candidates with the binaries changed since the previous
@@ -57,7 +59,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..model import InfeasibleError, add_shares, move_shares
 from ..numerics import (INF, NEG_INF, Mode, Number, bound_improves_lower,
                         bound_improves_upper, div, is_finite)
-from ..parallel import chunk_evenly, fork_map
+from ..parallel import fork_map
 from ..transactions import (ReductionStep, StepKind, Transaction, assert_row,
                             assert_row_bounds, assert_col_bounds)
 from .common import (PresolveView, _support_buckets, finite_side,
@@ -68,43 +70,33 @@ from .common import (PresolveView, _support_buckets, finite_side,
 # checks for progress; a batch that yields nothing ends the call
 PROBING_BATCH = 64
 
-# work-size gates below which forking is not worth the overhead
-PROBING_PARALLEL_MIN_CANDIDATES = 192
-PROBING_PARALLEL_MIN_NNZ = 2000
-DOMCOL_PARALLEL_MIN_GROUPS = 512
-SPARSIFY_PARALLEL_MIN_EQS = 512
+# items below which a fan-out runs in-process: forking would cost more
+FORK_MIN_ITEMS = 192
 
 
-def _fan_out(view: PresolveView, fn: Callable[[Any], list], items: list,
-             big_enough: bool) -> list:
-    """The lists fn(item) gives, joined in item order.  When big_enough,
-    splits items into 4 * view.workers contiguous chunks and hands them to
-    fork_map, which runs them on at most view.workers processes and never
-    more than the usable CPUs; else runs in-process.  The chunks follow
-    view.workers alone, so the output does not depend on the host.
+def _fan_out(view: PresolveView, fn: Callable[[Any], list],
+             items: list) -> list:
+    """The lists fn(item) gives, joined in item order.  With one worker or
+    fewer than FORK_MIN_ITEMS items, runs fn here, item by item, and the
+    first InfeasibleError propagates.  Else hands the items to fork_map,
+    which runs them on at most view.workers processes and never more than
+    the usable CPUs; an item whose fn raises InfeasibleError returns the
+    error, and the first error in item order is raised, so neither the
+    output nor which error does depends on the host."""
+    if view.workers <= 1 or len(items) < FORK_MIN_ITEMS:
+        return [tx for item in items for tx in fn(item)]
 
-    A chunk stops at the first item whose fn raises InfeasibleError and
-    returns the error in its place; the first error in item order is
-    raised, so which one does not depend on the chunking either."""
-    def chunk(part: list) -> list:
-        out: list = []
+    def guarded(item):
         try:
-            for item in part:
-                out.extend(fn(item))
+            return fn(item)
         except InfeasibleError as err:
-            out.append(err)
-        return out
+            return err
 
-    if view.workers > 1 and big_enough:
-        parts = fork_map(chunk, chunk_evenly(items, 4 * view.workers),
-                         view.workers)
-    else:
-        parts = [chunk(items)]
     found: list = []
-    for part in parts:
-        if part and isinstance(part[-1], InfeasibleError):
-            raise part[-1]
-        found.extend(part)
+    for out in fork_map(guarded, items, view.workers):
+        if isinstance(out, InfeasibleError):
+            raise out
+        found.extend(out)
     return found
 
 
@@ -209,8 +201,7 @@ def run_domcol(view: PresolveView) -> List[Transaction]:
     buckets = _support_buckets(view, p.cols, p.rows, view.scan_cols(), 1)
     groups = [(s, cols) for s, cols in sorted(buckets.items())
               if len(cols) >= 2]
-    return _fan_out(view, lambda group: _domcol_group(view, *group), groups,
-                    len(groups) >= DOMCOL_PARALLEL_MIN_GROUPS)
+    return _fan_out(view, lambda group: _domcol_group(view, *group), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +526,7 @@ def run_probing(view: PresolveView) -> List[Transaction]:
 
     txs: List[Transaction] = []
     for batch in batches:
-        found = _fan_out(view, probe, batch,
-                         len(batch) >= PROBING_PARALLEL_MIN_CANDIDATES
-                         and p.nnz >= PROBING_PARALLEL_MIN_NNZ)
+        found = _fan_out(view, probe, batch)
         if not found:
             break
         txs.extend(found)
@@ -648,5 +637,4 @@ def run_sparsify(view: PresolveView) -> List[Transaction]:
     p = view.problem
     eqs = [i for i in p.active_rows()
            if p.is_equation(i) and len(p.rows[i]) >= 2]
-    return _fan_out(view, lambda e: _sparsify_equation(view, e), eqs,
-                    len(eqs) >= SPARSIFY_PARALLEL_MIN_EQS)
+    return _fan_out(view, lambda e: _sparsify_equation(view, e), eqs)

@@ -812,19 +812,58 @@ def _open_bounds(p, rng):
 
 
 class TestFanOut:
-    """Every fork path, forced on by zero thresholds, returns what the
-    in-process path returns."""
+    """Every fork path, forced on by a zero gate, returns what the
+    in-process path returns; the gate is FORK_MIN_ITEMS items and more
+    than one worker."""
 
     PRESOLVERS = ("domcol", "probing", "sparsify")
 
+    @staticmethod
+    def _view(workers):
+        p = Problem(FLOAT)
+        return PresolveView(p, RowActivities.compute(p), workers=workers)
+
+    def test_gate_is_item_count_and_workers(self, monkeypatch):
+        forks = []
+
+        def counting_fork_map(fn, items, workers):
+            forks.append((len(items), workers))
+            return fork_map(fn, items, workers)
+
+        monkeypatch.setattr(exhaustive, "fork_map", counting_fork_map)
+        assert exhaustive.FORK_MIN_ITEMS == 192
+        for n in (191, 192):
+            for workers in (1, 2):
+                assert exhaustive._fan_out(
+                    self._view(workers), lambda k: [k, -k], list(range(n))
+                ) == [v for k in range(n) for v in (k, -k)]
+        assert forks == [(192, 2)]
+
+    def test_first_infeasible_item_in_order_is_raised(self):
+        called = []
+
+        def fn(k):
+            called.append(k)
+            if k in (40, 150):
+                raise InfeasibleError(f"item {k}")
+            return [k]
+
+        for items, first in ((list(range(192)), 40),
+                             (list(range(191, -1, -1)), 150)):
+            # in-process: no item after the first error runs
+            called.clear()
+            with pytest.raises(InfeasibleError, match=f"item {first}$"):
+                exhaustive._fan_out(self._view(1), fn, items)
+            assert called == items[:items.index(first) + 1]
+            # forked: the items run in workers, and the first error in
+            # item order is raised
+            with pytest.raises(InfeasibleError, match=f"item {first}$"):
+                exhaustive._fan_out(self._view(2), fn, items)
+
     def test_forked_transactions_equal_sequential(self, monkeypatch):
-        for name in ("PROBING_PARALLEL_MIN_CANDIDATES",
-                     "PROBING_PARALLEL_MIN_NNZ",
-                     "DOMCOL_PARALLEL_MIN_GROUPS",
-                     "SPARSIFY_PARALLEL_MIN_EQS"):
-            monkeypatch.setattr(exhaustive, name, 0)
-        # every fork gets _fan_out's one chunk function, so a fork is
-        # told apart by the runner call it happens in
+        monkeypatch.setattr(exhaustive, "FORK_MIN_ITEMS", 0)
+        # every fork gets _fan_out's one wrapper, so a fork is told apart
+        # by the runner call it happens in
         forks = []
 
         def counting_fork_map(fn, items, workers):
@@ -922,9 +961,9 @@ def fanned_out(monkeypatch):
     calls = []
     fan_out = exhaustive._fan_out
 
-    def recording_fan_out(view, fn, items, big_enough):
+    def recording_fan_out(view, fn, items):
         calls.append((view.workers, list(items)))
-        return fan_out(view, fn, items, big_enough)
+        return fan_out(view, fn, items)
 
     monkeypatch.setattr(exhaustive, "_fan_out", recording_fan_out)
     return calls
@@ -960,13 +999,12 @@ def _infeasible_gadgets(offsets):
 
 
 class TestProbingAcrossWorkers:
-    """run_probing with every fork threshold at zero, so workers 2 and 3
-    fork; the merge into transactions runs in the workers."""
+    """run_probing with the fork gate at zero, so workers 2 and 3 fork;
+    the merge into transactions runs in the workers."""
 
     @pytest.fixture(autouse=True)
     def forced_forks(self, monkeypatch):
-        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_CANDIDATES", 0)
-        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_NNZ", 0)
+        monkeypatch.setattr(exhaustive, "FORK_MIN_ITEMS", 0)
         forked = []
 
         def recording_fork_map(fn, items, workers):
@@ -995,8 +1033,7 @@ class TestProbingAcrossWorkers:
         assert unordered and found
 
     def test_both_branches_infeasible_reports_first_candidate(self):
-        # x10 comes first in candidate order, in an earlier chunk than
-        # x22 and x26 at 2 and 3 workers
+        # x10 comes first in candidate order, before x22 and x26
         upd = ModelUpdate(_infeasible_gadgets([22, 10, 26]))
         msgs = _probe_at_each_worker_count(upd)
         assert set(msgs.values()) == {
@@ -1129,8 +1166,7 @@ class TestProbingWorkspace:
     infeasible early exits included, in-process and in forked workers."""
 
     def test_restored_after_every_branch(self, monkeypatch):
-        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_CANDIDATES", 0)
-        monkeypatch.setattr(exhaustive, "PROBING_PARALLEL_MIN_NNZ", 0)
+        monkeypatch.setattr(exhaustive, "FORK_MIN_ITEMS", 0)
         # shared with forked workers: branches run, and infeasible ones
         calls = multiprocessing.Value("i", 0)
         infeasible = multiprocessing.Value("i", 0)

@@ -163,6 +163,19 @@ class TestReader:
         assert p.col_integral[0]
         assert (p.col_lower[0], p.col_upper[0]) == (-3, 7)
 
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_integer_bound_types_make_columns_integral(self, tmp_path,
+                                                       rational):
+        # outside INTORG markers, as a BV bound does
+        ctx = NumericContext.rational() if rational else CTX
+        text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X R1 1\n Y R1 1\n"
+                " Z R1 1\nRHS\nBOUNDS\n UI BND X 2.5\n LI BND Y 1\n"
+                " UP BND Z 4\nENDATA\n")
+        p = read_mps(write_tmp(tmp_path, text), ctx)
+        assert p.col_integral == [True, True, False]
+        assert (p.col_lower[0], p.col_upper[0]) == (0, ctx.number("2.5"))
+        assert (p.col_lower[1], p.col_upper[1]) == (1, INF)
+
     def test_negative_up_without_lo_warns_and_frees_lower(self, tmp_path):
         text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n X R1 1\n"
                 "RHS\nBOUNDS\n UP BND X -2\nENDATA\n")

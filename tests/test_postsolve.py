@@ -4,8 +4,8 @@ import pytest
 
 from premip import (NumericContext, PresolveOptions, postsolve_primal,
                     presolve)
-from premip.model import AggregateEntry, FixEntry
-from premip.numerics import NEG_INF
+from premip.model import AggregateEntry, FixEntry, SubstituteEntry
+from premip.numerics import INF, NEG_INF
 from premip.postsolve import PostsolveError, Solution, replay
 from premip.transactions import PostsolveRecord
 
@@ -13,6 +13,9 @@ from conftest import (brute_force, make_problem, point_feasible,
                       random_mixed_mip, random_small_mip)
 
 CTX = NumericContext.float64()
+
+BOTH_MODES = pytest.mark.parametrize(
+    "ctx", [CTX, NumericContext.rational()], ids=["float64", "rational"])
 
 
 def strengthened_knapsack():
@@ -65,7 +68,6 @@ class TestPostsolvePrimal:
     def test_substitution_out_of_bounds_reports_entry(self):
         # an infeasible reduced solution makes the inverted substitution
         # land outside the recorded bounds; the failing entry is named
-        from premip.model import SubstituteEntry
         p = make_problem(CTX, [(0, 1, 0, False), (0, 1, 0, False)],
                          [({0: 1, 1: 1}, 1, 1)])
         record = PostsolveRecord.for_problem(p)
@@ -74,6 +76,65 @@ class TestPostsolvePrimal:
         with pytest.raises(PostsolveError) as err:
             postsolve_primal(record, {1: 55})
         assert err.value.entry_index == 0
+
+    @BOTH_MODES
+    def test_infinite_value_is_rejected(self, ctx):
+        # an infinite reduced value gives an infinite substituted one,
+        # which the feasibility test alone would accept
+        p = make_problem(ctx, [(NEG_INF, INF, 0, False)] * 2, [])
+        record = PostsolveRecord.for_problem(p)
+        record.entries.append(SubstituteEntry(
+            0, 0, [(0, ctx.number(1)), (1, ctx.number(1))], ctx.number(1),
+            NEG_INF, INF))
+        with pytest.raises(PostsolveError, match="column 0") as err:
+            postsolve_primal(record, {1: INF})
+        assert err.value.entry_index == 0
+
+
+class TestAggregateSplit:
+    """An AggregateEntry y = x + s*g splits at a finite end of x's range
+    when the other end is infinite: at its upper end if finite, else its
+    lower end, stepping into the range for an integral scale."""
+
+    @BOTH_MODES
+    def test_parallel_columns_with_an_open_merged_range(self, ctx):
+        # ParallelCols merges x1 into x0; the merged column's range is the
+        # whole line, and x0's own upper bound is infinite
+        p = make_problem(ctx, [(0, INF, 1, False), (NEG_INF, 5, 1, False),
+                               (0, 10, -1, False)],
+                         [({0: 1, 1: 1, 2: 1}, 2, 8),
+                          ({0: 2, 1: 2, 2: -1}, NEG_INF, 9)])
+        res = presolve(p)
+        assert any(isinstance(e, AggregateEntry) for e in res.record.entries)
+        sol = postsolve_primal(res.record, {0: 2, 2: 0})
+        assert sol.values == [0, 2, 0]
+        assert sol.objective == 2
+        assert point_feasible(p, dict(enumerate(sol.values)))
+
+    @BOTH_MODES
+    @pytest.mark.parametrize("scale,gone_lb,gone_ub,values", [
+        (1, NEG_INF, 5, [2, 5]), (2, NEG_INF, 5, [1, 3]),
+        (-2, -5, INF, [1, -3])])
+    def test_split_from_the_finite_end(self, ctx, scale, gone_lb, gone_ub,
+                                       values):
+        # kept x in [0, inf), both integral, merged value y = 7
+        p = make_problem(ctx, [(0, INF, 0, True),
+                               (gone_lb, gone_ub, 0, True)], [])
+        record = PostsolveRecord.for_problem(p)
+        record.entries.append(AggregateEntry(
+            0, 1, ctx.number(scale), ctx.number(0), INF,
+            ctx.number(gone_lb), ctx.number(gone_ub)))
+        sol = postsolve_primal(record, {0: 7})
+        assert sol.values == values
+        x, g = sol.values
+        assert x + scale * g == 7
+
+    def test_both_columns_free_split_at_zero(self):
+        record = PostsolveRecord.for_problem(
+            make_problem(CTX, [(NEG_INF, INF, 0, False)] * 2, []))
+        record.entries.append(AggregateEntry(0, 1, 2.0, NEG_INF, INF,
+                                             NEG_INF, INF))
+        assert postsolve_primal(record, {0: 7}).values == [7, 0]
 
 
 class TestRoundTripProperty:

@@ -38,27 +38,23 @@ same corpus:
 - the 3000x2500 `random_medium_mip` at 1 thread;
 - the relabelled `probing_chain_instance(400)` and `(1200)` at 2 threads;
 - seeds 0-3 of the half-open medium instance at 1, 2 and 3 threads with
-  the four `*_PARALLEL_MIN_*` gates of `premip.presolvers.exhaustive` at
-  0, so that Probing, DomCol and Sparsify fork.
+  the fork gate `premip.presolvers.exhaustive.FORK_MIN_ITEMS` at 0, so
+  that Probing, DomCol and Sparsify fork.
 No timing enters a run's hash, so the digest depends on the outputs
 alone.  It takes about ten seconds.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import os
 import random
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-# the fork gates of premip.presolvers.exhaustive
-GATES = ("PROBING_PARALLEL_MIN_CANDIDATES", "PROBING_PARALLEL_MIN_NNZ",
-         "DOMCOL_PARALLEL_MIN_GROUPS", "SPARSIFY_PARALLEL_MIN_EQS")
 
 # the fields of a run, in the order they are hashed
 FIELDS = ("verdict", "hash", "record", "stats", "log")
@@ -123,7 +119,7 @@ def _runs():
 
 
 def _forked_runs():
-    """(name, problem, options) of the runs made with the fork gates at 0:
+    """(name, problem, options) of the runs made with the fork gate at 0:
     half-open medium instances, whose optimum stays finite, so that the run
     reaches the exhaustive tier."""
     from conftest import halfopen_medium_mip
@@ -133,20 +129,6 @@ def _forked_runs():
         for threads in (1, 2, 3):
             yield (f"medium-halfopen-{seed}-forked-t{threads}", halfopen,
                    _opts(threads))
-
-
-@contextlib.contextmanager
-def _gates_at_zero():
-    """The fork gates at 0, so that Probing, DomCol and Sparsify fork."""
-    import premip.presolvers.exhaustive as exhaustive
-    saved = {gate: getattr(exhaustive, gate) for gate in GATES}
-    for gate in GATES:
-        setattr(exhaustive, gate, 0)
-    try:
-        yield
-    finally:
-        for gate, value in saved.items():
-            setattr(exhaustive, gate, value)
 
 
 def _entries_text(entries, ctx) -> str:
@@ -201,8 +183,10 @@ def digest_lines(src: str):
                     os.path.join(ROOT, "perfbench")]
     for name, problem, options, immediate in _runs():
         yield name, _run_parts(problem, options, immediate)
+    import premip.presolvers.exhaustive as exhaustive
     for name, problem, options in _forked_runs():
-        with _gates_at_zero():
+        # create=True: an older --src without the gate runs these in-process
+        with mock.patch.object(exhaustive, "FORK_MIN_ITEMS", 0, create=True):
             parts = _run_parts(problem, options, False)
         yield name, parts
 
