@@ -66,8 +66,8 @@ class Problem:
                 integral: bool = False, name: Optional[str] = None) -> int:
         j = len(self.col_lower)
         ctx = self.ctx
-        self.col_lower.append(lower if not is_finite(lower) else ctx.number(lower))
-        self.col_upper.append(upper if not is_finite(upper) else ctx.number(upper))
+        self.col_lower.append(ctx.number(lower))
+        self.col_upper.append(ctx.number(upper))
         self.obj.append(ctx.number(obj))
         self.col_integral.append(integral)
         self.col_state.append(ColState.ACTIVE)
@@ -79,8 +79,8 @@ class Problem:
                 rhs: Number = INF, name: Optional[str] = None) -> int:
         i = len(self.row_lhs)
         ctx = self.ctx
-        self.row_lhs.append(lhs if not is_finite(lhs) else ctx.number(lhs))
-        self.row_rhs.append(rhs if not is_finite(rhs) else ctx.number(rhs))
+        self.row_lhs.append(ctx.number(lhs))
+        self.row_rhs.append(ctx.number(rhs))
         self.row_active.append(True)
         self.row_names.append(name if name is not None else f"R{i}")
         row = {}

@@ -9,8 +9,10 @@ included), a header of another standard section (SOS, QUADOBJ, ...), a data
 line under NAME, a file that ends before ENDATA or declares no objective
 row, and bytes that are not UTF-8 raise MpsError with the line number; so
 do a bad or NaN literal, a repeated column name and bytes that are not
-UTF-8 in a solution file.  Infinite RHS, RANGES and BOUNDS values ('inf', 'infinity',
-signed or not, in any case) read as infinite in both number modes.
+UTF-8 in a solution file.  Infinite RHS, RANGES and BOUNDS values ('inf',
+'infinity', signed or not, in any case) read as infinite in both number
+modes; an infinite range gives an infinite side, and a range on a row
+whose RHS is infinite raises MpsError with the RANGES line's number.
 Free-format data lines may start in column 1.
 Integral columns without BOUNDS entries get the default [0, +inf), and an
 LI or UI bound makes its column integral, as a BV bound does.
@@ -21,7 +23,8 @@ import contextlib
 from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from .model import Problem
-from .numerics import INF, NEG_INF, Number, NumericContext, is_finite
+from .numerics import (INF, NEG_INF, Number, NumericContext, affine_range,
+                       is_finite)
 
 
 class MpsError(ValueError):
@@ -87,7 +90,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
     col_entries: Dict[int, Dict[int, Number]] = {}
     obj_cols: set = set()
     rhs_by_row: Dict[int, Number] = {}
-    range_by_row: Dict[int, Number] = {}
+    range_by_row: Dict[int, Tuple[Number, int]] = {}  # (range, line)
     obj_row: Optional[str] = None
     integral_mode = False
     explicit_lower: set = set()
@@ -218,7 +221,7 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
                     if rname == obj_row:
                         raise MpsError("range on the objective row", lineno)
                     i = get_row(rname, lineno)
-                    range_by_row[i] = val
+                    range_by_row[i] = (val, lineno)
             elif section == "BOUNDS":
                 btype = tokens[0].upper()
                 if btype in ("FR", "MI", "PL", "BV"):
@@ -301,16 +304,18 @@ def read_mps(path: str, ctx: Optional[NumericContext] = None,
         else:
             lhs_v, rhs_v = rhs, rhs
         if i_decl in range_by_row:
-            r = range_by_row[i_decl]
-            if sense == "L":
-                lhs_v = rhs_v - abs(r)
-            elif sense == "G":
-                rhs_v = lhs_v + abs(r)
+            r, line = range_by_row[i_decl]
+            if not is_finite(rhs):
+                raise MpsError(f"range on row {name!r}, whose rhs is "
+                               "infinite", line)
+            # rhs - |r| for L, rhs + |r| for G, rhs + r for E: infinite
+            # when r is
+            shift = r if sense == "E" else abs(r) if sense == "G" else -abs(r)
+            low, high = affine_range(rhs, rhs, 1, shift, shift)
+            if sense == "G" or sense == "E" and r >= 0:
+                rhs_v = high
             else:
-                if r >= 0:
-                    rhs_v = lhs_v + r
-                else:
-                    lhs_v = rhs_v + r
+                lhs_v = low
         problem.add_row(row_entries[i_decl], lhs_v, rhs_v, name=name)
     return problem
 

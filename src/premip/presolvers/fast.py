@@ -45,12 +45,13 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
     normalize all-integral rows by their gcd.
 
     A row whose finite side is the rhs is read as is, one with a finite
-    lhs negated into -a.x <= -lhs.  The bounds stay put during the call,
-    so each row's candidates (integral, boxed, unfixed columns, in column
-    order) are listed once.  The loop over them runs only while the
-    maximum activity exceeds the side.  A larger coefficient shrinks to
-    the excess, which changes only with a coefficient; each candidate is
-    compared with it before the product with its range is formed."""
+    lhs negated into -a.x <= -lhs.  While the maximum activity exceeds
+    the side, the candidates (integral, boxed, unfixed columns, in column
+    order) are passed once: a larger coefficient shrinks to the excess,
+    and each candidate is compared with it before the product with its
+    range is formed.  A shrink lowers the maximum activity and the side
+    by the same amount, so the excess stays and no second pass would
+    shrink anything."""
     p = view.problem
     ctx = view.ctx
     act = view.activities
@@ -68,20 +69,13 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
         row = p.rows[i]
         coeffs = dict(row) if sense > 0 else {j: -a for j, a in row.items()}
         steps: List[ReductionStep] = []
-        cands = []
         if maxact > side and not ctx.approx_eq(maxact, side):
+            new_mag = maxact - side
             for j in sorted(coeffs):
                 lo, up = lower[j], upper[j]
-                if integral[j] and is_finite(lo) and is_finite(up) \
-                        and lo != up:
-                    cands.append((j, lo, up))
-            new_mag = maxact - side
-        changed = bool(cands)
-        guard = 0
-        while changed and guard < 2 * len(coeffs):
-            changed = False
-            guard += 1
-            for j, lo, up in cands:
+                if not (integral[j] and is_finite(lo) and is_finite(up)
+                        and lo != up):
+                    continue
                 a = coeffs[j]
                 mag = abs(a)
                 if not new_mag < mag or ctx.approx_eq(new_mag, mag):
@@ -94,9 +88,8 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
                 else:
                     new_a = -new_mag
                     ref = lo
-                new_side = side - (a - new_a) * ref
                 maxact = maxact - (a - new_a) * ref
-                side = new_side
+                side = side - (a - new_a) * ref
                 coeffs[j] = new_a
                 if sense > 0:
                     steps.append(ReductionStep(StepKind.CHANGE_COEFF, row=i,
@@ -108,8 +101,7 @@ def run_coefftightening(view: PresolveView) -> List[Transaction]:
                                                col=j, value=-new_a))
                     steps.append(ReductionStep(StepKind.CHANGE_LHS, row=i,
                                                value=-side))
-                changed = maxact > side and not ctx.approx_eq(maxact, side)
-                if not changed:
+                if not maxact > side or ctx.approx_eq(maxact, side):
                     break
                 new_mag = maxact - side
         # gcd normalization of all-integral rows; a unit coefficient makes

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..model import InfeasibleError, Problem, UnboundedError
+from ..model import InfeasibleError, Problem, UnboundedError, add_shares
 from ..numerics import (INF, NEG_INF, Number, affine_range,
                         bound_improves_lower, bound_improves_upper, div,
                         is_finite, quotient_range)
@@ -201,13 +201,23 @@ def run_parallelcols(view: PresolveView) -> List[Transaction]:
 
 
 def run_stuffing(view: PresolveView) -> List[Transaction]:
-    """Greedy dual stuffing of continuous singleton columns that the
-    column-singleton presolver left behind (nonzero cost, inequality)."""
+    """Greedy dual stuffing (Achterberg, Bixby, Gu, Rothberg and Weninger,
+    INFORMS JoC 2020) of continuous singleton columns that the
+    column-singleton presolver left behind (nonzero cost, inequality).
+
+    A row with one finite side reads as a.x <= cap.  Candidates, whose
+    cost pushes a.x up, are fixed at their desired bound in order of
+    cost/coefficient ratio, then column, while that bound is finite and
+    the row still fits: the other entries at their maximum, the fixed
+    candidates at their desired bounds and the undecided ones at their
+    minimum within cap, or an undecided minimum infinite.  The other
+    entries and the undecided candidates are two row states written by
+    `model.add_shares`, so an infinite bound is counted, never
+    multiplied."""
     p = view.problem
     ctx = view.ctx
-    # the shares' constant, -0.0 in float64 (the int 0 in rational mode):
-    # -0.0 + x is x bit for bit, where 0.0 + -0.0 would give 0.0
-    nil = ctx.number(-0.0)
+    lower, upper = p.col_lower, p.col_upper
+    zero = ctx.number(0)
     txs: List[Transaction] = []
     for i in view.scan_rows():
         lhs, rhs = p.row_lhs[i], p.row_rhs[i]
@@ -216,54 +226,35 @@ def run_stuffing(view: PresolveView) -> List[Transaction]:
         sense = 1 if is_finite(rhs) else -1
         cap = rhs if sense > 0 else -lhs
         entries = p.row_entries(i)
-        candidates = []  # (ratio, col, a_sense, desired, min_contrib)
-        residual = ctx.number(0)
-        residual_ok = True
+        rest = [zero, zero, 0, 0]
+        candidates = []  # (ratio, col, sensed coefficient)
         for j, a in entries:
             asn = sense * a
             c = p.obj[j]
-            is_single = (len(p.cols[j]) == 1 and not p.col_integral[j])
-            wants_in = is_single and ((asn > 0 and c < 0) or (asn < 0 and c > 0))
-            if wants_in:
-                lo, up = p.col_lower[j], p.col_upper[j]
-                desired = up if asn > 0 else lo
-                min_c, des_c = affine_range(nil, nil, asn, lo, up)
-                candidates.append((div(c, asn), j, asn, desired, min_c,
-                                   des_c))
+            if len(p.cols[j]) == 1 and not p.col_integral[j] \
+                    and (asn > 0 and c < 0 or asn < 0 and c > 0):
+                candidates.append((div(c, asn), j, asn))
             else:
-                lo, up = p.col_lower[j], p.col_upper[j]
-                contrib = asn * up if asn > 0 else asn * lo
-                if not is_finite(contrib):
-                    residual_ok = False
-                    break
-                residual = residual + contrib
-        if not residual_ok or not candidates:
+                add_shares(rest, asn, lower[j], upper[j])
+        if rest[3] or not candidates:
             continue
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        undecided_min = [t[4] for t in candidates]
-        decided_contrib = ctx.number(0)
+        candidates.sort()
+        undecided = [zero, zero, 0, 0]
+        for _, j, asn in candidates:
+            add_shares(undecided, asn, lower[j], upper[j])
+        decided = zero
         fixes: List[ReductionStep] = []
-        n_inf_min = sum(1 for m in undecided_min if not is_finite(m))
-        finite_min = sum(m for m in undecided_min if is_finite(m))
-        for idx, (ratio, j, asn, desired, min_c, des_c) in enumerate(candidates):
-            if not is_finite(des_c):
+        for _, j, asn in candidates:
+            desired = upper[j] if asn > 0 else lower[j]
+            if not is_finite(desired):
                 break
-            own_inf = 0 if is_finite(min_c) else 1
-            others_inf = n_inf_min - own_inf
-            if others_inf > 0:
-                fits = True
-            else:
-                others_min = finite_min - (min_c if is_finite(min_c) else 0)
-                total = residual + decided_contrib + others_min + des_c
-                fits = ctx.feas_leq(total, cap)
-            if not fits:
+            add_shares(undecided, asn, lower[j], upper[j], -1)
+            if not (undecided[2] > 0 or ctx.feas_leq(
+                    rest[1] + decided + undecided[0] + asn * desired, cap)):
                 break
             fixes.append(ReductionStep(StepKind.FIX_COLUMN, col=j,
                                        value=desired))
-            decided_contrib = decided_contrib + des_c
-            n_inf_min -= own_inf
-            if is_finite(min_c):
-                finite_min = finite_min - min_c
+            decided = decided + asn * desired
         if fixes:
             asserts = [assert_row(i), assert_row_bounds(i)]
             asserts += [assert_col_bounds(j) for j, _ in entries]

@@ -178,12 +178,10 @@ def _validate(update: ModelUpdate, txn: Transaction) -> Optional[Setter]:
     return None
 
 
-def classify_redundant(update_or_problem, txn: Transaction) -> bool:
+def classify_redundant(p: Problem, txn: Transaction) -> bool:
     """Heuristic: a discarded transaction is redundant when each of its
-    change steps is already satisfied by the current problem.  This is a
-    lower bound on true redundancy."""
-    p = update_or_problem.problem if isinstance(update_or_problem, ModelUpdate) \
-        else update_or_problem
+    change steps is already satisfied by the problem p.  This is a lower
+    bound on true redundancy."""
     ctx = p.ctx
     for step in txn.change_steps():
         k = step.kind
@@ -295,7 +293,7 @@ def apply_all(update: ModelUpdate, transactions: List[Transaction],
     for txn in transactions:
         conflict = _validate(update, txn)
         if conflict is not None:
-            redundant = classify_redundant(update, txn)
+            redundant = classify_redundant(update.problem, txn)
             outcome = ApplyOutcome(TxStatus.DISCARDED,
                                    conflicting_presolver=conflict[1],
                                    redundant=redundant)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -130,6 +131,47 @@ class TestReader:
         assert got["RG"] == (2.0, 5.0)
         assert got["RE1"] == (5.0, 7.0)
         assert got["RE2"] == (3.0, 5.0)
+
+    # the RANGES entry is on line 10
+    RANGED_MPS = ("NAME t\nROWS\n N OBJ\n {sense} R1\nCOLUMNS\n X R1 1\n"
+                  "RHS\n RHS R1 {rhs}\nRANGES\n RNG R1 {width}\nENDATA\n")
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("sense,width,lhs,rhs", [
+        ("L", "inf", NEG_INF, None), ("L", "-inf", NEG_INF, None),
+        ("G", "inf", None, INF), ("G", "-Infinity", None, INF),
+        ("E", "inf", None, INF), ("E", "-inf", NEG_INF, None)])
+    def test_infinite_range_gives_an_infinite_side(self, tmp_path, rational,
+                                                   sense, width, lhs, rhs):
+        """None stands for the RHS value, an int above 1e308 in rational
+        mode, which must never meet an infinity in arithmetic."""
+        ctx = NumericContext.rational() if rational else CTX
+        side = 10 ** 400 if rational else 10.0
+        text = self.RANGED_MPS.format(sense=sense, rhs=side, width=width)
+        p = read_mps(write_tmp(tmp_path, text), ctx)
+        assert (p.row_lhs[0], p.row_rhs[0]) == (
+            side if lhs is None else lhs, side if rhs is None else rhs)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_finite_ranges_keep_their_sides(self, tmp_path, rational):
+        """rhs - |r|, rhs + |r| and rhs + r, down to the sign of a zero."""
+        ctx = NumericContext.rational() if rational else CTX
+        for sense, rhs, width, sides in [
+                ("L", "-0", "-0", (-0.0, -0.0)), ("L", "1", "-0.5", (0.5, 1)),
+                ("G", "-0", "0", (-0.0, 0.0)), ("G", "1/4", "-3", (0.25, 3.25)),
+                ("E", "-0", "-0", (-0.0, -0.0)), ("E", "-0", "0", (-0.0, 0.0)),
+                ("E", "2", "-2", (0, 2))]:
+            if "/" in rhs and not rational:
+                rhs = "0.25"
+            text = self.RANGED_MPS.format(sense=sense, rhs=rhs, width=width)
+            p = read_mps(write_tmp(tmp_path, text), ctx)
+            got = (p.row_lhs[0], p.row_rhs[0])
+            assert got == sides
+            if rational:
+                assert all(type(v) is int or v.denominator > 1 for v in got)
+            else:
+                assert [math.copysign(1, v) for v in got] == \
+                    [math.copysign(1, v) for v in sides]
 
     def test_integral_default_bounds(self, tmp_path):
         text = ("NAME t\nROWS\n N OBJ\n L R1\nCOLUMNS\n"
@@ -265,6 +307,28 @@ class TestReaderErrors:
         with pytest.raises(MpsError) as err:
             read_mps(write_tmp(tmp_path, text), CTX)
         assert "line 7" in str(err.value) and "infinite" in str(err.value)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("sense,rhs,width", [
+        ("L", "inf", "inf"), ("L", "inf", "4"), ("G", "-inf", "1e400"),
+        ("G", "inf", "-2"), ("E", "inf", "-2"), ("E", "-inf", "1e400")])
+    def test_range_on_an_infinite_rhs(self, tmp_path, rational, sense, rhs,
+                                      width):
+        ctx = NumericContext.rational() if rational else CTX
+        text = TestReader.RANGED_MPS.format(sense=sense, rhs=rhs,
+                                             width=width)
+        with pytest.raises(MpsError, match="line 10") as err:
+            read_mps(write_tmp(tmp_path, text), ctx)
+        assert "infinite" in str(err.value)
+
+    def test_cli_reports_a_range_on_an_infinite_rhs(self, tmp_path, capsys):
+        text = TestReader.RANGED_MPS.format(sense="L", rhs="inf",
+                                            width="1e400")
+        code = main(["presolve", write_tmp(tmp_path, text), "--rational",
+                     "-r", str(tmp_path / "r.mps"),
+                     "-v", str(tmp_path / "r.post")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 10: ")
 
     def test_infinite_sides_and_bounds_still_read(self, tmp_path):
         text = ("NAME t\nROWS\n N OBJ\n L R1\n G R2\nCOLUMNS\n"

@@ -397,7 +397,7 @@ def _old_aggregate_caps(y, s, lo, up):
 
 
 def _old_shares(asn, lo, up):
-    """Stuffing's minimum and desired shares asn*[lo, up]."""
+    """The minimum and desired shares asn*[lo, up] of an entry."""
     if asn > 0:
         return (asn * lo if is_finite(lo) else NEG_INF,
                 asn * up if is_finite(up) else INF)
@@ -500,7 +500,7 @@ class TestRangeHelpers:
         assert quotient_range(NEG_INF, INF, -1.0) == (NEG_INF, INF)
 
     def test_zero_bounds_keep_their_sign(self):
-        # -0.0 + x is x bit for bit: Stuffing's shares of a zero bound
+        # -0.0 + x is x bit for bit: shares of a zero bound from -0.0
         assert _bits(affine_range(-0.0, -0.0, -3.0, 0.0, 1.0)) == \
             _bits((-3.0, -0.0))
         assert _bits(affine_range(-0.0, -0.0, 3.0, -0.0, 0.0)) == \

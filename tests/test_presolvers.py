@@ -6,16 +6,19 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 import premip.presolvers.fast as fast
-from premip import NumericContext, PresolveOptions, apply_all, presolve
+from premip import (NumericContext, PresolveOptions, Verdict, apply_all,
+                    presolve, replay)
 from premip.model import (ColState, InfeasibleError, ModelUpdate,
                           UnboundedError)
-from premip.numerics import INF, NEG_INF, is_finite
+from premip.numerics import (INF, NEG_INF, Mode, affine_range, div,
+                             is_finite)
 from premip.presolvers import (PRESOLVER_NAMES, PresolveView, REGISTRY,
                                Tier, run_trivial, runner)
 from premip.presolvers.common import (coeff_gcd, has_units,
                                       integral_coeffs)
 from premip.transactions import (ReductionStep, StepKind, Transaction,
-                                 TxStatus, assert_row, assert_row_bounds)
+                                 TxStatus, assert_col_bounds, assert_row,
+                                 assert_row_bounds)
 
 from conftest import (brute_force, brute_force_mixed, halfopen_medium_mip,
                       late_structure_mip, make_problem,
@@ -746,6 +749,104 @@ class TestUnitCoefficientExits:
                       if not s.is_assertion()) == [2, 4]
 
 
+def _reference_stuffing(view):
+    """Stuffing as it was written before it used the share rule: hand-made
+    sums, the min and desired shares through affine_range from -0.0, and a
+    product of each staying entry's coefficient with its bound formed
+    before the test that it is finite."""
+    p = view.problem
+    ctx = view.ctx
+    nil = ctx.number(-0.0)
+    txs = []
+    for i in view.scan_rows():
+        lhs, rhs = p.row_lhs[i], p.row_rhs[i]
+        if is_finite(lhs) == is_finite(rhs):
+            continue
+        sense = 1 if is_finite(rhs) else -1
+        cap = rhs if sense > 0 else -lhs
+        entries = p.row_entries(i)
+        candidates = []
+        residual = ctx.number(0)
+        residual_ok = True
+        for j, a in entries:
+            asn = sense * a
+            c = p.obj[j]
+            is_single = (len(p.cols[j]) == 1 and not p.col_integral[j])
+            wants_in = is_single and ((asn > 0 and c < 0) or (asn < 0 and c > 0))
+            if wants_in:
+                lo, up = p.col_lower[j], p.col_upper[j]
+                desired = up if asn > 0 else lo
+                min_c, des_c = affine_range(nil, nil, asn, lo, up)
+                candidates.append((div(c, asn), j, asn, desired, min_c,
+                                   des_c))
+            else:
+                lo, up = p.col_lower[j], p.col_upper[j]
+                contrib = asn * up if asn > 0 else asn * lo
+                if not is_finite(contrib):
+                    residual_ok = False
+                    break
+                residual = residual + contrib
+        if not residual_ok or not candidates:
+            continue
+        candidates.sort(key=lambda t: (t[0], t[1]))
+        undecided_min = [t[4] for t in candidates]
+        decided_contrib = ctx.number(0)
+        fixes = []
+        n_inf_min = sum(1 for m in undecided_min if not is_finite(m))
+        finite_min = sum(m for m in undecided_min if is_finite(m))
+        for ratio, j, asn, desired, min_c, des_c in candidates:
+            if not is_finite(des_c):
+                break
+            own_inf = 0 if is_finite(min_c) else 1
+            others_inf = n_inf_min - own_inf
+            if others_inf > 0:
+                fits = True
+            else:
+                others_min = finite_min - (min_c if is_finite(min_c) else 0)
+                total = residual + decided_contrib + others_min + des_c
+                fits = ctx.feas_leq(total, cap)
+            if not fits:
+                break
+            fixes.append(ReductionStep(StepKind.FIX_COLUMN, col=j,
+                                       value=desired))
+            decided_contrib = decided_contrib + des_c
+            n_inf_min -= own_inf
+            if is_finite(min_c):
+                finite_min = finite_min - min_c
+        if fixes:
+            asserts = [assert_row(i), assert_row_bounds(i)]
+            asserts += [assert_col_bounds(j) for j, _ in entries]
+            txs.append(Transaction("stuffing", asserts + fixes))
+    return txs
+
+
+def _stuffing_row(ctx, rng):
+    """A problem with one single-sided row over 2-7 columns, most of them
+    continuous singletons, and an equation over a few of them that makes
+    those no singletons.  Zeros come with both signs in float64; rational
+    mode adds ints of 10**400 to the coefficients, bounds and sides."""
+    big = [10 ** 400, -10 ** 400] if ctx.mode is Mode.RATIONAL else []
+    coeffs = [1, -1, 2.5, -0.5, 3, -7.25, 0.125] + big
+    lowers = [-0.0, 0.0, -2, 1, -3.5, NEG_INF, NEG_INF] + big[1:]
+    uppers = [-0.0, 0.0, 3, 5.5, 8, INF, INF] + big[:1]
+    costs = [-2, -1, -0.5, 0, 1, 3]
+    n = rng.randint(2, 7)
+    cols = []
+    for _ in range(n):
+        lo, up = rng.choice(lowers), rng.choice(uppers)
+        if lo > up:
+            lo, up = up, lo
+        cols.append((lo, up, rng.choice(costs), rng.random() < 0.2))
+    row = {j: rng.choice(coeffs) for j in range(n)}
+    side = rng.choice([-0.0, 0.0, 1, 4, 10.5, 100, -3] + big)
+    rows = [(row, NEG_INF, side) if rng.random() < 0.5
+            else (row, side, INF)]
+    shared = [j for j in range(n) if rng.random() < 0.2]
+    if shared:
+        rows.append(({j: 1 for j in shared}, 0, 0))
+    return make_problem(ctx, cols, rows)
+
+
 class TestStuffing:
     def test_equal_ratio_singletons_fix_at_most_one(self):
         # min -x1 - x2 s.t. x1 + x2 <= 1, both continuous singletons
@@ -774,6 +875,43 @@ class TestStuffing:
         p = make_problem(CTX, [(0, 1, -1, True)], [({0: 1}, NEG_INF, 1)])
         _, view = fresh_view(p)
         assert runner("stuffing")(view) == []
+
+    @pytest.mark.parametrize("ctx", [CTX, RATIONAL], ids=["float64",
+                                                          "rational"])
+    def test_equals_the_reference_copy(self, ctx):
+        """Random single-sided rows give the reference copy's steps: bit
+        for bit in float64, exactly and with the same types in rational
+        mode.  Where the copy raises OverflowError, an int of 10**400
+        times an infinite bound, Stuffing returns transactions."""
+        rng = random.Random(24)
+        multi = overflows = 0
+        for _ in range(4000):
+            p = _stuffing_row(ctx, rng)
+            _, view = fresh_view(p)
+            txs = runner("stuffing")(view)
+            assert isinstance(txs, list)
+            try:
+                expected = _reference_stuffing(view)
+            except OverflowError:
+                overflows += 1
+                continue
+            assert repr(txs) == repr(expected)
+            multi += sum(len(kinds(t)) > 1 for t in txs)
+        assert multi >= 50
+        assert overflows >= (200 if ctx is RATIONAL else 0)
+
+    def test_exact_presolve_with_a_huge_coefficient_next_to_an_infinite_bound(
+            self):
+        """x1 in [0, inf) integral stays in a row where 10**400 is its
+        coefficient: its share is counted as infinite, never formed."""
+        p = make_problem(RATIONAL, [(0, 4, 1, False), (0, INF, 1, True),
+                                    (0, INF, 1, False)],
+                         [({0: 1, 1: -10 ** 400, 2: 1}, 1, INF),
+                          ({1: 1, 2: 1}, 1, INF)])
+        res = presolve(p)
+        assert res.verdict is Verdict.REDUCED
+        assert replay(res.record, p).stable_hash() == \
+            res.problem.stable_hash()
 
 
 class TestDomCol:
